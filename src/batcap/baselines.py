@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, uniform_lanes
 
 
 class KnnRegressor:
@@ -182,14 +182,14 @@ class RandomForest:
         per_split = self.features_per_split
         if per_split is None:
             per_split = max(1, math.ceil(m / 3))
+        tree_seeds = [derive_seed(self.seed, "tree", i) for i in range(self.n_trees)]
+        if self.bootstrap:
+            # n below(n) draws per tree, from all trees' streams at once.
+            u = uniform_lanes([derive_seed(s, "bootstrap") for s in tree_seeds], n)
+            bootstraps = np.minimum((u * n).astype(np.int64), n - 1)
         self._trees = []
-        for i in range(self.n_trees):
-            tree_seed = derive_seed(self.seed, "tree", i)
-            if self.bootstrap:
-                rng = Rng(derive_seed(tree_seed, "bootstrap"))
-                rows = np.array([rng.below(n) for _ in range(n)])
-            else:
-                rows = np.arange(n)
+        for i, tree_seed in enumerate(tree_seeds):
+            rows = bootstraps[i] if self.bootstrap else np.arange(n)
             tree = RegressionTree(
                 max_depth=self.max_depth,
                 min_leaf=self.min_leaf,

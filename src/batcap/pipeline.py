@@ -94,7 +94,7 @@ def woa_elm_train(X: np.ndarray, y: np.ndarray,
         omega, bias = decode_position(position, n_inputs, cfg.hidden_l)
         H = elm_hidden(fit_Xs, omega, bias, cfg.activation)
         beta = elm_solve_beta(H, fit_ys)
-        H_val = elm_hidden(val_Xs, omega, bias, cfg.activation)
+        H_val = H if cfg.fitness_holdout is None else elm_hidden(val_Xs, omega, bias, cfg.activation)
         pred = norm.unscale_y((H_val @ beta)[:, 0])
         return rmse(pred, val_y)
 

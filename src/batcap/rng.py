@@ -1,8 +1,13 @@
 """Portable deterministic random numbers (xoshiro256++ seeded via SplitMix64).
 
 Every stochastic component in this package draws from this generator rather
-than ``numpy.random`` so that fixtures and pipeline artifacts are bit-identical
-across platforms and numpy versions.
+than ``numpy.random`` so that its random streams are bit-identical across
+platforms and numpy versions.
+
+``Rng`` steps one stream with Python integers masked to 64 bits.
+``uniform_lanes`` steps many independent streams together as numpy
+``uint64`` arrays, whose arithmetic is modulo 2**64 and wraps the same way on
+every platform, so each lane yields exactly the values of the scalar stream.
 """
 
 from __future__ import annotations
@@ -141,3 +146,36 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def uniform_lanes(seeds, n: int) -> np.ndarray:
+    """Uniforms in [0, 1) from many streams at once, one row per seed.
+
+    Row ``j`` equals ``Rng(seeds[j]).uniforms(n)`` bit for bit: every lane is
+    seeded as ``Rng`` seeds it and all lanes advance together.
+    """
+    sm = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    state = np.empty((4, len(sm)), dtype=np.uint64)
+    for k in range(4):
+        # SplitMix64 on whole arrays; uint64 products wrap modulo 2**64.
+        sm += np.uint64(_SM_GAMMA)
+        z = (sm ^ (sm >> np.uint64(30))) * np.uint64(_SM_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MUL2)
+        state[k] = z ^ (z >> np.uint64(31))
+    s0, s1, s2, s3 = state
+
+    def rotl(x, k):
+        return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+    raw = np.empty((len(sm), n), dtype=np.uint64)
+    for i in range(n):
+        np.add(rotl(s0 + s3, 23), s0, out=raw[:, i])
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3[:] = rotl(s3, 45)
+    raw >>= np.uint64(11)
+    return raw * 2.0 ** -53

@@ -13,7 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, uniform_lanes
+
+# Iterations whose whale streams are drawn together: pop_size * BLOCK lanes
+# of 2 * dim + 3 uniforms each (about 2 MB for 30 whales at dim 560).
+BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -120,15 +124,24 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
     best_cost = float(costs[best_idx])
 
     history: list[float] = []
+    pop, dim = cfg.pop_size, cfg.dim
     for t in range(cfg.t_max):
+        if t % BLOCK == 0:
+            # A whale's stream depends only on (seed, whale, iteration), so a
+            # block of iterations is drawn before any of its positions exist.
+            block = range(t, min(t + BLOCK, cfg.t_max))
+            draws = uniform_lanes(
+                [derive_seed(cfg.seed, "whale", i, "iter", k) for k in block for i in range(pop)],
+                2 * dim + 3,
+            ).reshape(len(block), pop, 2 * dim + 3)
         new_positions = np.empty_like(positions)
-        for i in range(cfg.pop_size):
-            rng = Rng(derive_seed(cfg.seed, "whale", i, "iter", t))
-            r1 = rng.uniforms(cfg.dim)
-            r2 = rng.uniforms(cfg.dim)
-            p = rng.uniform()
-            spiral_l = rng.uniform(-1.0, 1.0)
-            rand_idx = rng.below(cfg.pop_size)
+        for i in range(pop):
+            u = draws[t % BLOCK, i]
+            # Same values, in the same stream order, as Rng.uniforms(dim) twice,
+            # uniform(), uniform(-1, 1) and below(pop).
+            r1, r2, p = u[:dim], u[dim:2 * dim], u[2 * dim]
+            spiral_l = -1.0 + u[2 * dim + 1] * 2.0
+            rand_idx = min(int(u[2 * dim + 2] * pop), pop - 1)
             _, A, C = update_coefficients(t, cfg.t_max, r1, r2)
             if p < 0.5:
                 if cfg.gate_norm == "euclidean":
@@ -136,18 +149,14 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
                 else:
                     gate = float(np.max(np.abs(A)))
                 if gate < 1.0:
-                    new_positions[i] = encircle_step(positions[i], best_pos, A, C, cfg.bounds)
+                    new_positions[i] = encircle_step(positions[i], best_pos, A, C)
                 else:
-                    new_positions[i] = random_search_step(
-                        positions[i], positions[rand_idx], A, C, cfg.bounds
-                    )
+                    new_positions[i] = random_search_step(positions[i], positions[rand_idx], A, C)
             else:
-                new_positions[i] = spiral_step(
-                    positions[i], best_pos, cfg.spiral_b, spiral_l, cfg.bounds
-                )
-        positions = new_positions
+                new_positions[i] = spiral_step(positions[i], best_pos, cfg.spiral_b, spiral_l)
+        positions = np.clip(new_positions, lo, hi, out=new_positions)
         costs = np.array([_evaluate(f, x) for x in positions])
-        for i in range(cfg.pop_size):
+        for i in range(pop):
             if costs[i] < best_cost:
                 best_cost = float(costs[i])
                 best_pos = positions[i].copy()

@@ -71,6 +71,17 @@ def test_forest_single_tree_no_bootstrap_equals_plain_tree():
     assert np.array_equal(forest.predict(X), tree.predict(X))
 
 
+def test_forest_bootstrap_rows_match_scalar_below_draws():
+    X, y = toy_regression(50)
+    forest = bl.RandomForest(n_trees=4, features_per_split=2, seed=9).fit(X, y)
+    for i, grown in enumerate(forest._trees):
+        tree_seed = bl.derive_seed(9, "tree", i)
+        rng = Rng(bl.derive_seed(tree_seed, "bootstrap"))
+        rows = [rng.below(len(X)) for _ in range(len(X))]
+        tree = bl.RegressionTree(features_per_split=2, seed=tree_seed).fit(X[rows], y[rows])
+        assert np.array_equal(grown.predict(X), tree.predict(X))
+
+
 def test_forest_deterministic_per_seed():
     X, y = toy_regression(50)
     a = bl.RandomForest(n_trees=10, seed=4).fit(X, y).predict(X)

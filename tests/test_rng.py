@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from batcap.rng import Rng, derive_seed
+from batcap.rng import Rng, derive_seed, uniform_lanes
 
 MASK = (1 << 64) - 1
 
@@ -56,6 +56,21 @@ def test_uniforms_match_scalar_path():
     rng = Rng(99)
     singles = np.array([rng.uniform(-2.0, 3.0) for _ in range(500)])
     assert np.array_equal(batch, singles)
+
+
+LANE_SEEDS = [0, 1, 2**63, 2**64 - 1]
+
+
+# uint64 overflow warns on numpy scalars but not on arrays; the lanes must
+# stay arrays throughout.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [0, 1, 1123])
+@pytest.mark.parametrize("seeds", [LANE_SEEDS, [2**64 - 1]], ids=["four", "single"])
+def test_uniform_lanes_match_scalar_streams(seeds, n):
+    lanes = uniform_lanes(seeds, n)
+    assert lanes.shape == (len(seeds), n)
+    for seed, row in zip(seeds, lanes):
+        assert np.array_equal(row, Rng(seed).uniforms(n))
 
 
 def test_uniform_range():

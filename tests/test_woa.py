@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from batcap import woa
+from batcap.rng import Rng, derive_seed
 
 
 def sphere(x):
@@ -180,3 +181,64 @@ def test_config_validation():
         woa.WoaConfig(dim=1, bounds=((0.0, 1.0),), pop_size=1).validate()
     with pytest.raises(ValueError):
         woa.WoaConfig(dim=1, bounds=((0.0, 1.0),), gate_norm="manhattan").validate()
+
+
+def scalar_reference_woa(f, cfg):
+    """Per-whale loop with one scalar Rng stream per (whale, iteration)."""
+    lo = np.array([b[0] for b in cfg.bounds])
+    hi = np.array([b[1] for b in cfg.bounds])
+    init_rng = Rng(derive_seed(cfg.seed, "init"))
+    positions = np.array([lo + init_rng.uniforms(cfg.dim) * (hi - lo)
+                          for _ in range(cfg.pop_size)])
+    costs = [float(f(x)) for x in positions]
+    best_idx = int(np.argmin(costs))
+    best_pos, best_cost = positions[best_idx].copy(), costs[best_idx]
+    history = []
+    for t in range(cfg.t_max):
+        new_positions = np.empty_like(positions)
+        for i in range(cfg.pop_size):
+            rng = Rng(derive_seed(cfg.seed, "whale", i, "iter", t))
+            r1 = rng.uniforms(cfg.dim)
+            r2 = rng.uniforms(cfg.dim)
+            p = rng.uniform()
+            spiral_l = rng.uniform(-1.0, 1.0)
+            rand_idx = rng.below(cfg.pop_size)
+            _, A, C = woa.update_coefficients(t, cfg.t_max, r1, r2)
+            if p < 0.5:
+                if cfg.gate_norm == "euclidean":
+                    gate = float(np.linalg.norm(A))
+                else:
+                    gate = float(np.max(np.abs(A)))
+                if gate < 1.0:
+                    new_positions[i] = woa.encircle_step(positions[i], best_pos, A, C, cfg.bounds)
+                else:
+                    new_positions[i] = woa.random_search_step(
+                        positions[i], positions[rand_idx], A, C, cfg.bounds)
+            else:
+                new_positions[i] = woa.spiral_step(
+                    positions[i], best_pos, cfg.spiral_b, spiral_l, cfg.bounds)
+        positions = new_positions
+        for x in positions:
+            cost = float(f(x))
+            if cost < best_cost:
+                best_cost, best_pos = cost, x.copy()
+        history.append(best_cost)
+    return best_pos, history
+
+
+@pytest.mark.parametrize("gate_norm", ["euclidean", "component"])
+@pytest.mark.parametrize("t_max", [1, 7, 8, 9, 17])
+def test_optimize_matches_scalar_reference(gate_norm, t_max):
+    # Off-centre box with per-dimension bounds, so the search step and the
+    # clipping both act and a bound mix-up would show.
+    bounds = tuple((-1.0 - 0.5 * k, 2.0 + k) for k in range(5))
+
+    def shifted_sphere(x):
+        return float(np.sum((x - 1.5) ** 2))
+
+    cfg = small_config(dim=5, bounds=bounds, pop_size=6, t_max=t_max, seed=4,
+                       gate_norm=gate_norm)
+    res = woa.woa_optimize(shifted_sphere, cfg)
+    best_pos, history = scalar_reference_woa(shifted_sphere, cfg)
+    assert np.array_equal(res.best_position, best_pos)
+    assert np.array_equal(res.history, history)
