@@ -68,6 +68,19 @@ def _shapley_weights(m: int) -> np.ndarray:
     )
 
 
+def _phi(values: np.ndarray, m: int) -> np.ndarray:
+    """Shapley values of the M features from the 2^M coalition values."""
+    pc = _popcounts(len(values))
+    weights = _shapley_weights(m)
+    idx = np.arange(len(values))
+    phi = np.empty(m)
+    for j in range(m):
+        without = idx[(idx >> j) & 1 == 0]
+        with_j = without + (1 << j)
+        phi[j] = float(np.sum(weights[pc[without]] * (values[with_j] - values[without])))
+    return phi
+
+
 def shapley_exact(model, x, background, feature_names=None) -> AttributionReport:
     """Exact Shapley attribution of one prediction against a background.
 
@@ -86,18 +99,10 @@ def shapley_exact(model, x, background, feature_names=None) -> AttributionReport
             "fuse features first"
         )
     values = _coalition_values(predict, x, background)
-    pc = _popcounts(len(values))
-    weights = _shapley_weights(m)
-    idx = np.arange(len(values))
-    phi = np.empty(m)
-    for j in range(m):
-        without = idx[(idx >> j) & 1 == 0]
-        with_j = without + (1 << j)
-        phi[j] = float(np.sum(weights[pc[without]] * (values[with_j] - values[without])))
     names = tuple(feature_names) if feature_names else tuple(f"F{i+1}" for i in range(m))
     return AttributionReport(
         base_value=float(values[0]),
-        phi=phi,
+        phi=_phi(values, m),
         prediction=float(values[-1]),
         feature_names=names,
     )
@@ -114,13 +119,19 @@ class ShapleySummary:
     background: np.ndarray
 
 
-def shapley_summary(model, X, feature_names=None,
-                    background_mode: str = "mean") -> ShapleySummary:
-    """Per-row attributions over a matrix plus the mean-|phi| ranking."""
+def shapley_summary(model, X, feature_names=None, background_mode: str = "mean",
+                    background_rows=None) -> ShapleySummary:
+    """Per-row attributions over a matrix plus the mean-|phi| ranking.
+
+    The background is the mean or median of ``background_rows`` (default: X).
+    """
     if background_mode not in ("mean", "median"):
         raise ValueError("background_mode must be 'mean' or 'median'")
     X = np.asarray(X, dtype=float)
-    background = X.mean(axis=0) if background_mode == "mean" else np.median(X, axis=0)
+    if len(X) == 0:
+        raise ValueError("no rows to explain")
+    B = X if background_rows is None else np.asarray(background_rows, dtype=float)
+    background = B.mean(axis=0) if background_mode == "mean" else np.median(B, axis=0)
     reports = [shapley_exact(model, row, background, feature_names) for row in X]
     phi_table = np.stack([r.phi for r in reports])
     mean_abs = np.abs(phi_table).mean(axis=0)
@@ -169,14 +180,15 @@ def interaction_matrix(model, x, background, feature_names=None) -> InteractionM
             val = float(np.sum(pair_weights[pc[both_clear]] * delta))
             inter[i, j] = val
             inter[j, i] = val
-    phi = shapley_exact(model, x, background, feature_names).phi
+    phi = _phi(values, m)
     for i in range(m):
         inter[i, i] = phi[i] - (inter[i].sum() - inter[i, i])
     names = tuple(feature_names) if feature_names else tuple(f"F{i+1}" for i in range(m))
     return InteractionMatrix(values=inter, feature_names=names)
 
 
-def summary_to_dict(summary: ShapleySummary, interactions: np.ndarray | None) -> dict:
+def summary_to_dict(summary: ShapleySummary) -> dict:
+    """The shap.json object; pairwise interactions are left to interaction_matrix."""
     return {
         "base_value": summary.base_value,
         "feature_names": list(summary.feature_names),
@@ -186,5 +198,5 @@ def summary_to_dict(summary: ShapleySummary, interactions: np.ndarray | None) ->
             {"phi": phi.tolist(), "prediction": float(pred)}
             for phi, pred in zip(summary.phi_table, summary.predictions)
         ],
-        "interactions": interactions.tolist() if interactions is not None else None,
+        "interactions": None,
     }

@@ -265,10 +265,6 @@ def baseline_fit(kind: str, X, y, params: dict | None = None, seed: int = 0):
     return model.fit(X, y)
 
 
-def baseline_predict(model, X):
-    return model.predict(X)
-
-
 def _tree_to_dict(node: _Node) -> dict:
     if node.is_leaf():
         return {"value": node.value}

@@ -21,13 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, correlation, data, features, fusion, modelio, pipeline
-from .baselines import GradientBoosting, KnnRegressor, RandomForest, RegressionTree
+from .baselines import baseline_fit
 from .elm import elm_fit, elm_predict
 from .jsonio import dump_json, format_number, load_json, load_schema, validate_schema
 from .rng import derive_seed
 
 DEFAULT_SEED = 42
 DEFAULT_NOMINAL_MAH = 170.0
+COMPARE_KINDS = ("elm", "woa-elm", "rf", *modelio.BASELINE_KINDS)
 
 
 class CliError(Exception):
@@ -46,6 +47,21 @@ def _require_file(path: str) -> Path:
     if not p.is_file():
         raise CliError(3, f"input file not found: {path}")
     return p
+
+
+def _load_object(load, path: str) -> dict:
+    """Read a JSON file that must hold an object: a config, model or segments file."""
+    obj = load(_require_file(path))
+    if not isinstance(obj, dict):
+        raise CliError(4, f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _master_seed(args) -> int:
@@ -96,7 +112,7 @@ def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDatas
 def _train_config(args, master: int) -> pipeline.TrainConfig:
     cfg_obj = {}
     if getattr(args, "config", None):
-        cfg_obj = load_json(_require_file(args.config))
+        cfg_obj = _load_object(load_json, args.config)
     cfg = pipeline.TrainConfig(
         hidden_l=int(cfg_obj.get("hidden_l", 40)),
         activation=cfg_obj.get("activation", "sigmoid"),
@@ -112,7 +128,7 @@ def _train_config(args, master: int) -> pipeline.TrainConfig:
 
 
 def cmd_synth(args) -> int:
-    cfg_obj = load_json(_require_file(args.config))
+    cfg_obj = _load_object(load_json, args.config)
     cfg = data.SynthConfig(
         n_cycles=int(cfg_obj.get("n_cycles", 200)),
         q0=float(cfg_obj.get("q0", 170.0)),
@@ -149,7 +165,7 @@ def cmd_segment(args) -> int:
 
 def cmd_features(args) -> int:
     ds = _load_dataset(args)
-    seg = features.segments_from_dict(load_json(_require_file(args.segments)))
+    seg = features.segments_from_dict(_load_object(load_json, args.segments))
     matrix = features.build_matrix(ds, seg, target_mode=args.target)
     Path(args.out).write_text(features.matrix_to_csv(matrix), encoding="utf-8")
     print(f"wrote {matrix.X.shape[0]}x{matrix.X.shape[1]} feature matrix to {args.out}")
@@ -220,21 +236,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _fit_baseline(kind: str, X_train, y_train, seed: int):
-    if kind == "knn":
-        return KnnRegressor(k=5).fit(X_train, y_train)
-    if kind == "tree":
-        return RegressionTree(seed=seed).fit(X_train, y_train)
-    if kind in ("rf", "forest"):
-        return RandomForest(seed=seed).fit(X_train, y_train)
-    if kind == "gbrt":
-        return GradientBoosting().fit(X_train, y_train)
-    raise CliError(2, f"unknown model kind {kind!r}")
-
-
 def cmd_evaluate(args) -> int:
     matrix = _load_matrix(args.features)
-    model_obj = modelio.load_model(_require_file(args.model))
+    model_obj = _load_object(modelio.load_model, args.model)
     master = _master_seed(args)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     train_idx, test_idx = list(split.train), list(split.test)
@@ -253,9 +257,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    kinds = [k.strip() for k in args.models.split(",") if k.strip()]
+    if not kinds:
+        raise CliError(2, "--models names no model")
+    for kind in kinds:
+        if kind not in COMPARE_KINDS:
+            raise CliError(2, f"unknown model kind {kind!r}")
     matrix = _load_matrix(args.features)
     master = _master_seed(args)
-    kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     cfg = _train_config(args, master)
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
     train_idx, test_idx = list(split.train), list(split.test)
@@ -272,7 +281,7 @@ def cmd_compare(args) -> int:
             model, _ = pipeline.woa_elm_train(X_train, y_train, cfg)
             pred = elm_predict(model, X_test)
         else:
-            pred = _fit_baseline(kind, X_train, y_train, seed).predict(X_test)
+            pred = baseline_fit(kind, X_train, y_train, seed=seed).predict(X_test)
         predictions.append((kind, pred))
     taylor = pipeline.taylor_points(predictions, y_test)
     _write_artifact(pipeline.taylor_to_dict(taylor), "taylor", args.out)
@@ -285,48 +294,30 @@ def cmd_compare(args) -> int:
 
 def cmd_shap(args) -> int:
     matrix = _load_matrix(args.features)
-    model_obj = modelio.load_model(_require_file(args.model))
+    model_obj = _load_object(modelio.load_model, args.model)
     master = _master_seed(args)
     predict = modelio.make_predictor(model_obj)
     split = _make_split(args, master, len(matrix.y), args.ratio)
-    background_rows = matrix.X[list(split.train)]
-    if args.background == "mean":
-        background = background_rows.mean(axis=0)
-    else:
-        background = np.median(background_rows, axis=0)
     rows = matrix.X if args.rows is None else matrix.X[: args.rows]
-    reports = [attribution.shapley_exact(predict, row, background, matrix.feature_names)
-               for row in rows]
-    phi_table = np.stack([r.phi for r in reports])
-    mean_abs = np.abs(phi_table).mean(axis=0)
-    order = sorted(range(len(matrix.feature_names)), key=lambda j: (-mean_abs[j], j))
-    interactions = None
-    if rows.shape[1] <= attribution.MAX_FEATURES_INTERACTION:
-        acc = np.zeros((rows.shape[1], rows.shape[1]))
-        for row in rows:
-            acc += attribution.interaction_matrix(predict, row, background,
-                                                  matrix.feature_names).values
-        interactions = acc / len(rows)
-    obj = {
-        "base_value": reports[0].base_value,
-        "feature_names": list(matrix.feature_names),
-        "mean_abs_phi": mean_abs.tolist(),
-        "ranking": [matrix.feature_names[j] for j in order],
-        "per_sample": [
-            {"phi": r.phi.tolist(), "prediction": r.prediction} for r in reports
-        ],
-        "interactions": interactions.tolist() if interactions is not None else None,
-    }
+    summary = attribution.shapley_summary(predict, rows, matrix.feature_names, args.background,
+                                          background_rows=matrix.X[list(split.train)])
+    obj = attribution.summary_to_dict(summary)
     _write_artifact(obj, "shap", args.out)
     print(f"mean |phi| ranking: {', '.join(obj['ranking'][:3])}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    model_obj = modelio.load_model(_require_file(args.model))
+    model_obj = _load_object(modelio.load_model, args.model)
     payload = load_json(_require_file(args.input))
     vector = payload["features"] if isinstance(payload, dict) else payload
-    x = np.asarray(vector, dtype=float)
+    try:
+        x = np.asarray(vector, dtype=float)
+    except TypeError:
+        x = None
+    n = len(features.FEATURE_NAMES)
+    if x is None or x.shape != (n,):
+        raise CliError(4, f"{args.input}: expected a list of {n} feature values")
     predict = modelio.make_predictor(model_obj)
     value = float(predict(x[None, :])[0])
     print(format_number(value))
@@ -432,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=float, default=0.7)
     p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--split-ordered", action="store_true")
-    p.add_argument("--rows", type=int, default=None)
+    p.add_argument("--rows", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shap)
 

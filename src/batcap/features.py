@@ -288,6 +288,8 @@ def matrix_to_csv(m: FeatureMatrix) -> str:
 
 def matrix_from_csv(csv_text: str) -> FeatureMatrix:
     lines = [ln for ln in csv_text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    if not lines:
+        raise ValueError("features CSV is empty")
     header = lines[0].split(",")
     expected = ["cycle", *FEATURE_NAMES, "target"]
     if header != expected:

@@ -1,4 +1,4 @@
-"""Loading, saving, and dispatching trained models of any kind.
+"""Loading, serializing, and dispatching trained models of any kind.
 
 model.json carries a ``kind`` tag (elm, woa-elm, knn, tree, forest, gbrt)
 plus kind-specific sections. Models trained on fused features additionally
@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import baseline_from_dict, baseline_to_dict
 from .elm import elm_from_dict, elm_predict, elm_to_dict
 from .fusion import embed_new_points
-from .jsonio import dump_json, load_json
+from .jsonio import load_json
 
 BASELINE_KINDS = ("knn", "tree", "forest", "gbrt")
 
@@ -71,10 +71,6 @@ def make_predictor(obj: dict):
         return base(embedded)
 
     return predict
-
-
-def save_model(obj: dict, path) -> None:
-    dump_json(obj, path)
 
 
 def load_model(path) -> dict:

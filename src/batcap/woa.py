@@ -59,40 +59,31 @@ class WoaResult:
 
 
 def update_coefficients(t: int, t_max: int, r1: np.ndarray,
-                        r2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Iteration-dependent coefficients: a decays linearly from 2 to 0."""
+                        r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration-dependent A and C; the scale a of A decays linearly from 2 to 0."""
     if t > t_max:
         raise ValueError(f"iteration {t} exceeds t_max {t_max}")
     a = 2.0 - 2.0 * t / t_max
     A = 2.0 * a * np.asarray(r1) - a
     C = 2.0 * np.asarray(r2)
-    return a, A, C
-
-
-def _clamp(x: np.ndarray, bounds) -> np.ndarray:
-    if bounds is None:
-        return x
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return np.clip(x, lo, hi)
+    return A, C
 
 
 def encircle_step(x: np.ndarray, best: np.ndarray, A: np.ndarray,
-                  C: np.ndarray, bounds=None) -> np.ndarray:
+                  C: np.ndarray) -> np.ndarray:
     d = np.abs(C * best - x)
-    return _clamp(best - A * d, bounds)
+    return best - A * d
 
 
-def spiral_step(x: np.ndarray, best: np.ndarray, b: float, spiral_l: float,
-                bounds=None) -> np.ndarray:
+def spiral_step(x: np.ndarray, best: np.ndarray, b: float, spiral_l: float) -> np.ndarray:
     d = np.abs(best - x)
-    return _clamp(d * np.exp(b * spiral_l) * np.cos(2.0 * np.pi * spiral_l) + best, bounds)
+    return d * np.exp(b * spiral_l) * np.cos(2.0 * np.pi * spiral_l) + best
 
 
 def random_search_step(x: np.ndarray, x_rand: np.ndarray, A: np.ndarray,
-                       C: np.ndarray, bounds=None) -> np.ndarray:
+                       C: np.ndarray) -> np.ndarray:
     d = np.abs(C * x_rand - x)
-    return _clamp(x_rand - A * d, bounds)
+    return x_rand - A * d
 
 
 def _evaluate(f, x: np.ndarray) -> float:
@@ -107,8 +98,9 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
 
     Per iteration each whale draws p ~ U[0,1]: with p < 0.5 it encircles the
     best agent when the gate |A| < 1 and otherwise searches around a random
-    agent; with p >= 0.5 it spirals toward the best. The best-so-far agent is
-    never discarded, so the cost history is non-increasing.
+    agent; with p >= 0.5 it spirals toward the best. The new positions are
+    clipped to the box once per iteration. The best-so-far agent is never
+    discarded, so the cost history is non-increasing.
     """
     cfg.validate()
     lo = np.array([b[0] for b in cfg.bounds])
@@ -142,7 +134,7 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
             r1, r2, p = u[:dim], u[dim:2 * dim], u[2 * dim]
             spiral_l = -1.0 + u[2 * dim + 1] * 2.0
             rand_idx = min(int(u[2 * dim + 2] * pop), pop - 1)
-            _, A, C = update_coefficients(t, cfg.t_max, r1, r2)
+            A, C = update_coefficients(t, cfg.t_max, r1, r2)
             if p < 0.5:
                 if cfg.gate_norm == "euclidean":
                     gate = float(np.linalg.norm(A))

@@ -164,3 +164,36 @@ def test_interactions_reject_too_many_features():
     predict = lambda Z: np.atleast_2d(Z).sum(axis=1)
     with pytest.raises(ValueError, match="interaction cap"):
         attr.interaction_matrix(predict, np.zeros(13), np.zeros(13))
+
+
+def test_interactions_call_the_predictor_once():
+    rng = Rng(59)
+    model = random_model(rng, 4)
+    calls = []
+
+    def predict(Z):
+        calls.append(len(Z))
+        return model(Z)
+
+    inter = attr.interaction_matrix(predict, rng.normals(4), rng.normals(4))
+    assert calls == [2 ** 4]  # phi and the pair terms share one enumeration
+    assert inter.values.shape == (4, 4)
+
+
+def test_summary_background_rows_set_the_background():
+    rng = Rng(60)
+    predict = random_model(rng, 3)
+    X = rng.normals(12).reshape(4, 3)
+    B = rng.normals(15).reshape(5, 3)
+    for mode, reduce in (("mean", np.mean), ("median", np.median)):
+        summary = attr.shapley_summary(predict, X, background_mode=mode, background_rows=B)
+        assert np.array_equal(summary.background, reduce(B, axis=0))
+        expected = attr.shapley_exact(predict, X[0], reduce(B, axis=0)).phi
+        assert np.array_equal(summary.phi_table[0], expected)
+
+
+def test_summary_rejects_zero_rows():
+    predict = lambda Z: np.atleast_2d(Z).sum(axis=1)
+    with pytest.raises(ValueError, match="no rows"):
+        attr.shapley_summary(predict, np.zeros((0, 3)), background_rows=np.zeros((2, 3)))
+

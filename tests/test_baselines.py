@@ -154,7 +154,7 @@ def test_baseline_fit_predict_wrappers():
     X, y = toy_regression(30, seed=36)
     for kind in ("knn", "tree", "forest", "gbrt"):
         model = bl.baseline_fit(kind, X, y, seed=1)
-        pred = bl.baseline_predict(model, X[:4])
+        pred = model.predict(X[:4])
         assert pred.shape == (4,)
     with pytest.raises(ValueError, match="unknown baseline"):
         bl.baseline_fit("svm", X, y)

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from batcap import features, modelio
+from batcap import attribution, data, features, modelio
 from batcap.cli import main
 from batcap.jsonio import load_json, load_schema, validate_schema
+from batcap.rng import derive_seed
 
 SYNTH_CFG = {"n_cycles": 30, "q0": 170.0, "fade_rate": 0.003, "seed": 11}
 TRAIN_CFG = {"hidden_l": 10, "woa_iters": 10, "woa_pop": 6}
@@ -211,3 +213,136 @@ def test_split_ordered_flag(workdir, capsys):
     obj = load_json(workdir / "ordered_metrics.json")
     assert obj["n_train"] == 21 and obj["n_test"] == 9
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Valid inputs plus one file of each malformed kind, shared by a module."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "synth.json").write_text(json.dumps(SYNTH_CFG))
+    (d / "train.json").write_text(json.dumps(TRAIN_CFG))
+    prepare_features(d)
+    run(["train", "--features", d / "features.csv", "--config", d / "train.json",
+         "--model-out", d / "model.json"])
+    (d / "list.json").write_text("[1]")
+    (d / "scalar.json").write_text("5")
+    (d / "dict_vector.json").write_text('{"features": {}}')
+    (d / "short_vector.json").write_text("[0.5]")
+    (d / "empty.csv").write_text("")
+    return d
+
+
+def _expand(d, args):
+    return [str(d / a[1:]) if a.startswith("@") else a for a in args]
+
+
+DATASET = ["--samples", "@samples.csv", "--capacity", "@capacity.csv"]
+MALFORMED = [
+    (["synth", "--config", "@list.json", "--out-dir", "@out"], 4),
+    (["train", "--features", "@features.csv", "--config", "@list.json",
+      "--model-out", "@out.json"], 4),
+    (["compare", "--features", "@features.csv", "--config", "@list.json",
+      "--out", "@out.json"], 4),
+    (["table1", "--features", "@features.csv", "--config", "@list.json",
+      "--out", "@out.json"], 4),
+    (["evaluate", "--model", "@list.json", "--features", "@features.csv",
+      "--out", "@out.json"], 4),
+    (["predict", "--model", "@list.json", "--input", "@scalar.json"], 4),
+    (["features", *DATASET, "--segments", "@list.json", "--out", "@out.csv"], 4),
+    (["predict", "--model", "@model.json", "--input", "@scalar.json"], 4),
+    (["predict", "--model", "@model.json", "--input", "@dict_vector.json"], 4),
+    (["predict", "--model", "@model.json", "--input", "@short_vector.json"], 4),
+    (["correlate", "--features", "@empty.csv", "--out", "@out.json"], 4),
+    (["fuse", "--features", "@empty.csv", "--out", "@out.json"], 4),
+    (["train", "--features", "@empty.csv", "--model-out", "@out.json"], 4),
+    (["evaluate", "--model", "@model.json", "--features", "@empty.csv",
+      "--out", "@out.json"], 4),
+    (["compare", "--features", "@empty.csv", "--out", "@out.json"], 4),
+    (["shap", "--model", "@model.json", "--features", "@empty.csv", "--out", "@out.json"], 4),
+    (["shap", "--model", "@model.json", "--features", "@features.csv", "--rows", "-3",
+      "--out", "@out.json"], 2),
+    (["shap", "--model", "@model.json", "--features", "@features.csv", "--rows", "0",
+      "--out", "@out.json"], 2),
+    (["compare", "--features", "@features.csv", "--models", "", "--out", "@out.json"], 2),
+    (["compare", "--features", "@features.csv", "--models", "elm,woa-elm,svm",
+      "--out", "@out.json"], 2),
+]
+
+
+@pytest.mark.parametrize("args,code", MALFORMED,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_malformed_input_exit_codes(inputs, args, code, capsys, monkeypatch):
+    def no_fit(*a, **k):
+        raise RuntimeError("a model was fitted before the arguments were checked")
+
+    monkeypatch.setattr("batcap.cli.elm_fit", no_fit)
+    monkeypatch.setattr("batcap.pipeline.woa_elm_train", no_fit)
+    assert main(_expand(inputs, args)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {code}:") and err.count("\n") == 1
+
+
+FUZZ_COMMANDS = {
+    "csv": [
+        ["correlate", "--features", "@fuzz", "--out", "@out.json"],
+        ["fuse", "--features", "@fuzz", "--out", "@out.json"],
+        ["train", "--features", "@fuzz", "--model-out", "@out.json"],
+        ["evaluate", "--model", "@model.json", "--features", "@fuzz", "--out", "@out.json"],
+        ["compare", "--features", "@fuzz", "--out", "@out.json"],
+        ["shap", "--model", "@model.json", "--features", "@fuzz", "--out", "@out.json"],
+        ["table1", "--features", "@fuzz", "--out", "@out.json"],
+    ],
+    "json": [
+        ["synth", "--config", "@fuzz", "--out-dir", "@out"],
+        ["train", "--features", "@features.csv", "--config", "@fuzz", "--model-out", "@out.json"],
+        ["compare", "--features", "@features.csv", "--config", "@fuzz", "--out", "@out.json"],
+        ["table1", "--features", "@features.csv", "--config", "@fuzz", "--out", "@out.json"],
+        ["evaluate", "--model", "@fuzz", "--features", "@features.csv", "--out", "@out.json"],
+        ["shap", "--model", "@fuzz", "--features", "@features.csv", "--out", "@out.json"],
+        ["predict", "--model", "@fuzz", "--input", "@scalar.json"],
+        ["predict", "--model", "@model.json", "--input", "@fuzz"],
+        ["features", *DATASET, "--segments", "@fuzz", "--out", "@out.csv"],
+    ],
+}
+
+# JSON values other than objects, so a fuzzed config can never be a valid one
+# (which would start a full-size fit).
+NON_OBJECT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6,
+).map(lambda v: json.dumps(v).encode())
+
+
+def _is_json_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw), dict)
+    except ValueError:
+        return False
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)),
+       raw=st.binary(max_size=200) | NON_OBJECT_JSON)
+def test_arbitrary_input_bytes_exit_2_3_or_4(inputs, kind, raw, capsys):
+    assume(not _is_json_object(raw))
+    (inputs / "fuzz").write_bytes(raw)
+    for args in FUZZ_COMMANDS[kind]:
+        code = main(_expand(inputs, args))
+        assert code in (2, 3, 4), f"batcap {' '.join(args)} on {raw!r} -> exit {code}"
+    capsys.readouterr()
+
+
+def test_shap_background_is_the_train_split_mean(inputs, capsys):
+    out = inputs / "shap_row0.json"
+    run(["shap", "--model", inputs / "model.json", "--features", inputs / "features.csv",
+         "--rows", "1", "--out", out])
+    capsys.readouterr()
+    matrix = features.matrix_from_csv((inputs / "features.csv").read_text())
+    train = list(data.split_rows(len(matrix.y), 0.7, derive_seed(42, "split")).train)
+    predict = modelio.make_predictor(load_json(inputs / "model.json"))
+    phi = np.array(load_json(out)["per_sample"][0]["phi"])
+    expected = attribution.shapley_exact(predict, matrix.X[0], matrix.X[train].mean(axis=0)).phi
+    all_rows = attribution.shapley_exact(predict, matrix.X[0], matrix.X.mean(axis=0)).phi
+    assert phi == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    assert not np.allclose(phi, all_rows, rtol=1e-6)

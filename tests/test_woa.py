@@ -24,23 +24,26 @@ def small_config(**overrides):
 
 
 def test_coefficients_at_start_middle_end():
-    r_half = np.full(3, 0.5)
-    a, A, C = woa.update_coefficients(0, 100, r_half, r_half)
-    assert a == pytest.approx(2.0)
-    a, A, C = woa.update_coefficients(100, 100, np.ones(3), r_half)
-    assert a == pytest.approx(0.0)
+    # A = 2 a r1 - a, so r1 = 1 reads a off A.
+    r_half, ones = np.full(3, 0.5), np.ones(3)
+    A, C = woa.update_coefficients(0, 100, ones, r_half)
+    assert np.allclose(A, 2.0)
+    A, C = woa.update_coefficients(100, 100, ones, r_half)
+    assert np.allclose(A, 0.0)
+    A, C = woa.update_coefficients(100, 100, np.zeros(3), r_half)
     assert np.allclose(A, 0.0)  # A = 0 regardless of r1 when a = 0
-    a, A, C = woa.update_coefficients(50, 100, r_half, r_half)
-    assert a == pytest.approx(1.0)
+    A, C = woa.update_coefficients(50, 100, ones, r_half)
+    assert np.allclose(A, 1.0)
+    A, C = woa.update_coefficients(50, 100, r_half, r_half)
     assert np.allclose(A, 0.0)
     assert np.allclose(C, 1.0)
 
 
 def test_coefficients_linear_in_t():
-    r = np.zeros(1)
-    a0 = woa.update_coefficients(0, 10, r, r)[0]
-    a5 = woa.update_coefficients(5, 10, r, r)[0]
-    a10 = woa.update_coefficients(10, 10, r, r)[0]
+    r = np.ones(1)  # A equals a
+    a0 = woa.update_coefficients(0, 10, r, r)[0][0]
+    a5 = woa.update_coefficients(5, 10, r, r)[0][0]
+    a10 = woa.update_coefficients(10, 10, r, r)[0][0]
     assert a0 == 2.0 and a10 == 0.0
     assert a5 == pytest.approx((a0 + a10) / 2)
 
@@ -113,10 +116,14 @@ def test_random_search_scalar_arithmetic():
     assert out[0] == pytest.approx(0.0)  # D = 2, X' = 4 - 2*2
 
 
-def test_steps_clamp_to_bounds():
-    bounds = ((-1.0, 1.0),)
-    out = woa.encircle_step(np.array([0.9]), np.array([1.0]), np.array([-5.0]), np.array([2.0]), bounds)
-    assert -1.0 <= out[0] <= 1.0
+def test_optimize_clips_to_bounds():
+    # The minimum at x = 5 lies outside the box, so the best agent sits on its edge.
+    def far_sphere(x):
+        return float(np.sum((x - 5.0) ** 2))
+
+    res = woa.woa_optimize(far_sphere, small_config(bounds=woa.uniform_bounds(4, -1.0, 1.0)))
+    assert np.all(res.best_position >= -1.0) and np.all(res.best_position <= 1.0)
+    assert np.array_equal(res.best_position, np.ones(4))
 
 
 def test_optimize_history_length_and_elitism():
@@ -203,21 +210,20 @@ def scalar_reference_woa(f, cfg):
             p = rng.uniform()
             spiral_l = rng.uniform(-1.0, 1.0)
             rand_idx = rng.below(cfg.pop_size)
-            _, A, C = woa.update_coefficients(t, cfg.t_max, r1, r2)
+            A, C = woa.update_coefficients(t, cfg.t_max, r1, r2)
             if p < 0.5:
                 if cfg.gate_norm == "euclidean":
                     gate = float(np.linalg.norm(A))
                 else:
                     gate = float(np.max(np.abs(A)))
                 if gate < 1.0:
-                    new_positions[i] = woa.encircle_step(positions[i], best_pos, A, C, cfg.bounds)
+                    new_positions[i] = woa.encircle_step(positions[i], best_pos, A, C)
                 else:
                     new_positions[i] = woa.random_search_step(
-                        positions[i], positions[rand_idx], A, C, cfg.bounds)
+                        positions[i], positions[rand_idx], A, C)
             else:
-                new_positions[i] = woa.spiral_step(
-                    positions[i], best_pos, cfg.spiral_b, spiral_l, cfg.bounds)
-        positions = new_positions
+                new_positions[i] = woa.spiral_step(positions[i], best_pos, cfg.spiral_b, spiral_l)
+        positions = np.clip(new_positions, lo, hi)
         for x in positions:
             cost = float(f(x))
             if cost < best_cost:
