@@ -162,15 +162,13 @@ class RandomForest:
     """Bagged regression trees with per-split feature subsampling."""
 
     def __init__(self, n_trees: int = 100, max_depth: int = 8, min_leaf: int = 2,
-                 features_per_split: int | None = None, bootstrap: bool = True,
-                 seed: int = 0):
+                 features_per_split: int | None = None, seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.features_per_split = features_per_split
-        self.bootstrap = bootstrap
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
@@ -183,13 +181,11 @@ class RandomForest:
         if per_split is None:
             per_split = max(1, math.ceil(m / 3))
         tree_seeds = [derive_seed(self.seed, "tree", i) for i in range(self.n_trees)]
-        if self.bootstrap:
-            # n below(n) draws per tree, from all trees' streams at once.
-            u = uniform_lanes([derive_seed(s, "bootstrap") for s in tree_seeds], n)
-            bootstraps = np.minimum((u * n).astype(np.int64), n - 1)
+        # n below(n) draws per tree, from all trees' streams at once.
+        u = uniform_lanes([derive_seed(s, "bootstrap") for s in tree_seeds], n)
+        bootstraps = np.minimum((u * n).astype(np.int64), n - 1)
         self._trees = []
-        for i, tree_seed in enumerate(tree_seeds):
-            rows = bootstraps[i] if self.bootstrap else np.arange(n)
+        for tree_seed, rows in zip(tree_seeds, bootstraps):
             tree = RegressionTree(
                 max_depth=self.max_depth,
                 min_leaf=self.min_leaf,
@@ -249,17 +245,16 @@ class GradientBoosting:
         return out
 
 
-def baseline_fit(kind: str, X, y, params: dict | None = None, seed: int = 0):
-    """Fit a baseline by kind tag; params override the documented defaults."""
-    params = dict(params or {})
+def baseline_fit(kind: str, X, y, seed: int = 0):
+    """Fit a baseline with its documented defaults, chosen by kind tag."""
     if kind == "knn":
-        model = KnnRegressor(k=int(params.pop("k", 5)))
+        model = KnnRegressor()
     elif kind == "tree":
-        model = RegressionTree(seed=seed, **params)
+        model = RegressionTree(seed=seed)
     elif kind in ("forest", "rf"):
-        model = RandomForest(seed=seed, **params)
+        model = RandomForest(seed=seed)
     elif kind == "gbrt":
-        model = GradientBoosting(**params)
+        model = GradientBoosting()
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     return model.fit(X, y)

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -109,37 +110,38 @@ def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDatas
     return data.split_rows(n_rows, ratio, _split_seed(args, master))
 
 
-def _train_config(args, master: int) -> pipeline.TrainConfig:
-    cfg_obj = {}
-    if getattr(args, "config", None):
-        cfg_obj = _load_object(load_json, args.config)
-    cfg = pipeline.TrainConfig(
-        hidden_l=int(cfg_obj.get("hidden_l", 40)),
-        activation=cfg_obj.get("activation", "sigmoid"),
-        split_ratio=float(cfg_obj.get("split_ratio", 0.7)),
-        seed=derive_seed(master, "train"),
-        woa_pop=int(cfg_obj.get("woa_pop", 30)),
-        woa_iters=int(cfg_obj.get("woa_iters", 500)),
-        spiral_b=float(cfg_obj.get("spiral_b", 1.0)),
-        fitness_holdout=cfg_obj.get("fitness_holdout"),
-    )
+# JSON type of each config field type: booleans count as neither kind of number.
+_JSON_TYPES = {int: "integer", float: "number", float | None: ["number", "null"], str: "string"}
+
+
+def _config(cls, path: str | None, **fixed):
+    """A TrainConfig or SynthConfig from the fields of a JSON object.
+
+    Each key must name a field and hold a JSON value of the field's type;
+    numbers on float fields become floats. ``fixed`` values override the file.
+    """
+    obj = _load_object(load_json, path) if path else {}
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise CliError(4, f"{path}: unknown config key {unknown[0]!r}")
+    schema = {"properties": {name: {"type": _JSON_TYPES[t]} for name, t in types.items()}}
+    validate_schema(obj, schema, f"{path}: $")
+    values = {k: v if v is None or types[k] in (int, str) else float(v) for k, v in obj.items()}
+    cfg = cls(**{**values, **fixed})
     cfg.validate()
     return cfg
 
 
+def _train_config(args, master: int) -> pipeline.TrainConfig:
+    return _config(pipeline.TrainConfig, args.config, seed=derive_seed(master, "train"))
+
+
 def cmd_synth(args) -> int:
-    cfg_obj = _load_object(load_json, args.config)
-    cfg = data.SynthConfig(
-        n_cycles=int(cfg_obj.get("n_cycles", 200)),
-        q0=float(cfg_obj.get("q0", 170.0)),
-        fade_rate=float(cfg_obj.get("fade_rate", 0.0015)),
-        fade_power=float(cfg_obj.get("fade_power", 1.0)),
-        plateau_voltage=float(cfg_obj.get("plateau_voltage", 3.4)),
-        noise_sd=float(cfg_obj.get("noise_sd", 0.0003)),
-        seed=int(cfg_obj.get("seed", DEFAULT_SEED)),
-    )
+    fixed = {}
     if os.environ.get("RUN_SEED") is not None or args.seed is not None:
-        cfg = data.SynthConfig(**{**cfg.__dict__, "seed": derive_seed(_master_seed(args), "synth")})
+        fixed["seed"] = derive_seed(_master_seed(args), "synth")
+    cfg = _config(data.SynthConfig, args.config, **fixed)
     ds = data.synth_dataset(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,9 +330,9 @@ def cmd_table1(args) -> int:
     matrix = _load_matrix(args.features)
     master = _master_seed(args)
     cfg = _train_config(args, master)
-    report = pipeline.fused_comparison(matrix, cfg)
-    _write_artifact(pipeline.comparison_to_dict(report), "fusion_report", args.out)
-    time_row = [r for r in pipeline.comparison_to_dict(report)["rows"] if r["item"] == "Time(mS)"][0]
+    obj = pipeline.comparison_to_dict(pipeline.fused_comparison(matrix, cfg))
+    _write_artifact(obj, "fusion_report", args.out)
+    time_row = [r for r in obj["rows"] if r["item"] == "Time(mS)"][0]
     print(f"fit time {format_number(time_row['before_fusion'])} ms -> "
           f"{format_number(time_row['after_fusion'])} ms")
     return 0
@@ -451,7 +453,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"ERROR 3: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
         print(f"ERROR 4: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # pragma: no cover - defensive

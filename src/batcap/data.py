@@ -134,11 +134,6 @@ class SynthConfig:
             raise ValueError("q0 must be positive")
 
 
-def default_synth_config() -> SynthConfig:
-    """The shipped synthetic fixture: 200 cycles, light noise, seed 42."""
-    return SynthConfig()
-
-
 def _parse_float(token: str, line_no: int, column: str) -> float:
     try:
         return float(token)
@@ -398,43 +393,6 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
         )
         cycles.append(rec)
     ds = Dataset(battery_id="synthetic", nominal_capacity=cfg.q0, cycles=tuple(cycles))
-    ds.validate()
-    return ds
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    """Canonical JSON form of a dataset."""
-    return {
-        "battery_id": ds.battery_id,
-        "nominal_capacity_mah": ds.nominal_capacity,
-        "cycles": [
-            {
-                "cycle": c.cycle_index,
-                "samples": [[t, v] for t, v in zip(c.times, c.voltages)],
-                "capacity_mah": c.discharge_capacity,
-            }
-            for c in ds.cycles
-        ],
-    }
-
-
-def dataset_from_dict(obj: dict) -> Dataset:
-    cycles = []
-    for entry in obj["cycles"]:
-        samples = entry["samples"]
-        cycles.append(
-            CycleRecord(
-                cycle_index=int(entry["cycle"]),
-                times=tuple(float(s[0]) for s in samples),
-                voltages=tuple(float(s[1]) for s in samples),
-                discharge_capacity=float(entry["capacity_mah"]),
-            )
-        )
-    ds = Dataset(
-        battery_id=str(obj["battery_id"]),
-        nominal_capacity=float(obj["nominal_capacity_mah"]),
-        cycles=tuple(cycles),
-    )
     ds.validate()
     return ds
 

@@ -17,8 +17,6 @@ from .rng import Rng
 
 SVD_CUTOFF = 1e-10  # singular values below cutoff * sigma_max count as zero
 
-ACTIVATIONS = ("sigmoid", "tanh")
-
 
 def _activation(name: str):
     if name == "sigmoid":

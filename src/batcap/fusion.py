@@ -20,12 +20,12 @@ EXAGGERATION_ITERS = 100
 MOMENTUM_SWITCH_ITER = 250
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
+LEARNING_RATE = 200.0
 
 
 @dataclass(frozen=True)
 class TsneParams:
     perplexity: float = 30.0
-    learning_rate: float = 200.0
     iterations: int = 1000
     seed: int = 0
 
@@ -34,8 +34,6 @@ class TsneParams:
             raise ValueError("perplexity must be >= 2")
         if self.iterations < 250:
             raise ValueError("iterations must be >= 250")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ def tsne_embed(X: np.ndarray, d: int, params: TsneParams) -> EmbeddingResult:
         Q = student_t_affinities(Y)
         grad = tsne_gradient(P_t, Q, Y)
         momentum = MOMENTUM_EARLY if t < MOMENTUM_SWITCH_ITER else MOMENTUM_LATE
-        velocity = momentum * velocity - params.learning_rate * grad
+        velocity = momentum * velocity - LEARNING_RATE * grad
         Y = Y + velocity
         kl_history.append(kl_divergence(P, student_t_affinities(Y)))
     return EmbeddingResult(
@@ -218,18 +216,6 @@ def screen_dimensions(X: np.ndarray, dims=(1, 2, 3),
     recommended = min(sorted(kl_by_dim), key=lambda d: kl_by_dim[d])
     return ScreeningResult(embeddings=embeddings, kl_by_dim=kl_by_dim,
                            recommended_d=recommended)
-
-
-def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score columns so no single unit dominates the pairwise distances.
-
-    Constant columns pass through unchanged (sd treated as 1).
-    """
-    X = np.asarray(X, dtype=float)
-    means = X.mean(axis=0)
-    sds = X.std(axis=0)
-    sds = np.where(sds == 0.0, 1.0, sds)
-    return (X - means) / sds, means, sds
 
 
 def scale_feature_groups(X: np.ndarray, units) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,7 +273,7 @@ def screening_to_dict(result: ScreeningResult, params: TsneParams,
         "recommended_d": recommended,
         "params": {
             "perplexity": params.perplexity,
-            "learning_rate": params.learning_rate,
+            "learning_rate": LEARNING_RATE,
             "iterations": params.iterations,
             "seed": params.seed,
         },

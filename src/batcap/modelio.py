@@ -44,26 +44,30 @@ def fusion_section(means: np.ndarray, scales: np.ndarray, train_x_scaled: np.nda
 
 
 def make_predictor(obj: dict):
-    """Build a batch prediction function from a model.json dict."""
+    """Build a batch prediction function from a model.json dict.
+
+    Every section is decoded here, before the first prediction; a section of
+    the wrong JSON type raises ValueError naming the model kind.
+    """
     kind = obj["kind"]
-    if kind in ("elm", "woa-elm"):
-        model = elm_from_dict(obj)
-        base = lambda X: elm_predict(model, X)
-    elif kind in BASELINE_KINDS:
-        model = baseline_from_dict(obj)
-        base = model.predict
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-
-    fusion = obj.get("fusion")
-    if not fusion:
-        return base
-
-    means = np.array(fusion["means"], dtype=float)
-    scales = np.array(fusion["scales"], dtype=float)
-    train_x = np.array(fusion["train_x"], dtype=float)
-    train_y = np.array(fusion["train_y"], dtype=float)
-    k = int(fusion["k"])
+    try:
+        if kind in ("elm", "woa-elm"):
+            model = elm_from_dict(obj)
+            base = lambda X: elm_predict(model, X)
+        elif kind in BASELINE_KINDS:
+            base = baseline_from_dict(obj).predict
+        else:
+            raise ValueError(f"unknown model kind {kind!r}")
+        fusion = obj.get("fusion")
+        if fusion is None:
+            return base
+        means = np.array(fusion["means"], dtype=float)
+        scales = np.array(fusion["scales"], dtype=float)
+        train_x = np.array(fusion["train_x"], dtype=float)
+        train_y = np.array(fusion["train_y"], dtype=float)
+        k = int(fusion["k"])
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed {kind} model: {type(exc).__name__}: {exc}") from None
 
     def predict(X):
         Z = (np.atleast_2d(np.asarray(X, dtype=float)) - means) / scales

@@ -22,6 +22,8 @@ from .fusion import TsneParams, embed_new_points, scale_feature_groups, tsne_emb
 from .rng import derive_seed
 from .woa import WoaConfig, WoaResult, uniform_bounds, woa_optimize
 
+FUSED_DIM = 2  # output dimension of the fused arm in fused_comparison
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -290,12 +292,9 @@ class ComparisonArm:
 class FusionComparison:
     full: ComparisonArm
     fused: ComparisonArm
-    fused_dim: int
 
 
-def fused_comparison(m: FeatureMatrix, cfg: TrainConfig,
-                     tsne_params: TsneParams | None = None,
-                     fused_dim: int = 2) -> FusionComparison:
+def fused_comparison(m: FeatureMatrix, cfg: TrainConfig) -> FusionComparison:
     """Train on all features and on the fused low-dimensional features.
 
     Both arms share the same train/test split; test rows enter the fused arm
@@ -322,13 +321,11 @@ def fused_comparison(m: FeatureMatrix, cfg: TrainConfig,
 
     full = run_arm(X_train, X_test)
 
-    params = tsne_params if tsne_params is not None else TsneParams(
-        seed=derive_seed(cfg.seed, "fuse"))
     scaled_train, means, scales = scale_feature_groups(X_train, FEATURE_UNITS)
-    embedding = tsne_embed(scaled_train, fused_dim, params)
+    embedding = tsne_embed(scaled_train, FUSED_DIM, TsneParams(seed=derive_seed(cfg.seed, "fuse")))
     fused_test = embed_new_points(scaled_train, embedding.Y, (X_test - means) / scales)
     fused = run_arm(embedding.Y, fused_test)
-    return FusionComparison(full=full, fused=fused, fused_dim=fused_dim)
+    return FusionComparison(full=full, fused=fused)
 
 
 def comparison_to_dict(report: FusionComparison) -> dict:
@@ -341,7 +338,7 @@ def comparison_to_dict(report: FusionComparison) -> dict:
 
     full, fused = report.full, report.fused
     return {
-        "fused_dim": report.fused_dim,
+        "fused_dim": FUSED_DIM,
         "rows": [
             {"item": "RMSE", "before_fusion": full.rmse, "after_fusion": fused.rmse,
              "diff_percent": pct_drop(full.rmse, fused.rmse)},

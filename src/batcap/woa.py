@@ -28,8 +28,6 @@ class WoaConfig:
     t_max: int = 500
     spiral_b: float = 1.0
     seed: int = 0
-    # "euclidean" gates exploration on ||A||; "component" on max |A_i|.
-    gate_norm: str = "euclidean"
 
     def validate(self) -> None:
         if self.dim < 1:
@@ -43,8 +41,6 @@ class WoaConfig:
             raise ValueError("pop_size must be >= 2")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.gate_norm not in ("euclidean", "component"):
-            raise ValueError("gate_norm must be 'euclidean' or 'component'")
 
 
 def uniform_bounds(dim: int, lo: float, hi: float) -> tuple[tuple[float, float], ...]:
@@ -97,7 +93,7 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
     """Minimize f over the configured box; deterministic for a fixed seed.
 
     Per iteration each whale draws p ~ U[0,1]: with p < 0.5 it encircles the
-    best agent when the gate |A| < 1 and otherwise searches around a random
+    best agent when the gate ||A|| < 1 and otherwise searches around a random
     agent; with p >= 0.5 it spirals toward the best. The new positions are
     clipped to the box once per iteration. The best-so-far agent is never
     discarded, so the cost history is non-increasing.
@@ -136,11 +132,7 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
             rand_idx = min(int(u[2 * dim + 2] * pop), pop - 1)
             A, C = update_coefficients(t, cfg.t_max, r1, r2)
             if p < 0.5:
-                if cfg.gate_norm == "euclidean":
-                    gate = float(np.linalg.norm(A))
-                else:
-                    gate = float(np.max(np.abs(A)))
-                if gate < 1.0:
+                if float(np.linalg.norm(A)) < 1.0:
                     new_positions[i] = encircle_step(positions[i], best_pos, A, C)
                 else:
                     new_positions[i] = random_search_step(positions[i], positions[rand_idx], A, C)

@@ -6,7 +6,7 @@ from batcap import data, features
 
 @pytest.fixture(scope="session")
 def synth_ds():
-    return data.synth_dataset(data.default_synth_config())
+    return data.synth_dataset(data.SynthConfig())
 
 
 @pytest.fixture(scope="session")

@@ -62,24 +62,19 @@ def test_tree_respects_max_depth_and_min_leaf():
     check(model._root)
 
 
-def test_forest_single_tree_no_bootstrap_equals_plain_tree():
-    X, y = toy_regression(50)
-    forest = bl.RandomForest(
-        n_trees=1, bootstrap=False, features_per_split=X.shape[1], seed=0
-    ).fit(X, y)
-    tree = bl.RegressionTree(seed=bl.derive_seed(0, "tree", 0)).fit(X, y)
-    assert np.array_equal(forest.predict(X), tree.predict(X))
-
-
 def test_forest_bootstrap_rows_match_scalar_below_draws():
     X, y = toy_regression(50)
     forest = bl.RandomForest(n_trees=4, features_per_split=2, seed=9).fit(X, y)
+    total = np.zeros(len(X))
     for i, grown in enumerate(forest._trees):
         tree_seed = bl.derive_seed(9, "tree", i)
         rng = Rng(bl.derive_seed(tree_seed, "bootstrap"))
         rows = [rng.below(len(X)) for _ in range(len(X))]
         tree = bl.RegressionTree(features_per_split=2, seed=tree_seed).fit(X[rows], y[rows])
         assert np.array_equal(grown.predict(X), tree.predict(X))
+        total += tree.predict(X)
+    # The forest predicts the mean of its trees.
+    assert np.array_equal(forest.predict(X), total / 4)
 
 
 def test_forest_deterministic_per_seed():

@@ -1,13 +1,14 @@
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from batcap import attribution, data, features, modelio
+from batcap import attribution, baselines, data, features, modelio, pipeline
 from batcap.cli import main
-from batcap.jsonio import load_json, load_schema, validate_schema
+from batcap.jsonio import dump_json, load_json, load_schema, validate_schema
 from batcap.rng import derive_seed
 
 SYNTH_CFG = {"n_cycles": 30, "q0": 170.0, "fade_rate": 0.003, "seed": 11}
@@ -229,7 +230,35 @@ def inputs(tmp_path_factory):
     (d / "dict_vector.json").write_text('{"features": {}}')
     (d / "short_vector.json").write_text("[0.5]")
     (d / "empty.csv").write_text("")
+    # A valid model file of every kind, named after the kind.
+    matrix = features.matrix_from_csv((d / "features.csv").read_text())
+    (d / "vector.json").write_text(json.dumps(matrix.X[0].tolist()))
+    for kind in modelio.BASELINE_KINDS:
+        model = baselines.baseline_fit(kind, matrix.X, matrix.y, seed=1)
+        dump_json(modelio.model_to_dict(model, kind), d / f"{kind}.json")
+    for kind in ("elm", "woa-elm"):
+        dump_json({**load_json(d / "model.json"), "kind": kind}, d / f"{kind}.json")
+    for name, obj in BAD_FILES.items():
+        (d / name).write_text(json.dumps(obj))
+    (d / "knn_fusion_int.json").write_text(json.dumps({**load_json(d / "knn.json"), "fusion": 3}))
     return d
+
+
+# JSON objects of the right outer type whose fields are wrong.
+BAD_FILES = {
+    "cfg_null.json": {"hidden_l": None},
+    "cfg_typo.json": {"woa_iter": 3},
+    "cfg_bool.json": {"hidden_l": True},
+    "cfg_str.json": {"fitness_holdout": "0.25"},
+    "synth_list.json": {"n_cycles": [1]},
+    "synth_huge.json": {"q0": 10 ** 400},
+    "tree_int.json": {"kind": "tree", "tree": 5},
+    "knn_list.json": {"kind": "knn", "knn": []},
+    "forest_int_trees.json": {"kind": "forest", "forest": {"trees": 4}},
+    "elm_int_norm.json": {"kind": "woa-elm", "norm": 5, "elm": {}},
+}
+BAD_MODELS = ["tree_int.json", "knn_list.json", "forest_int_trees.json", "elm_int_norm.json",
+              "knn_fusion_int.json"]
 
 
 def _expand(d, args):
@@ -266,6 +295,15 @@ MALFORMED = [
     (["compare", "--features", "@features.csv", "--models", "", "--out", "@out.json"], 2),
     (["compare", "--features", "@features.csv", "--models", "elm,woa-elm,svm",
       "--out", "@out.json"], 2),
+    *[(["train", "--features", "@features.csv", "--config", f"@{cfg}", "--model-out", "@out.json"], 4)
+      for cfg in ("cfg_null.json", "cfg_typo.json", "cfg_bool.json", "cfg_str.json")],
+    (["synth", "--config", "@synth_list.json", "--out-dir", "@out"], 4),
+    (["synth", "--config", "@synth_huge.json", "--out-dir", "@out"], 4),
+    *[(args, 4) for model in BAD_MODELS for args in (
+        ["predict", "--model", f"@{model}", "--input", "@vector.json"],
+        ["evaluate", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
+        ["shap", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
+    )],
 ]
 
 
@@ -282,6 +320,17 @@ def test_malformed_input_exit_codes(inputs, args, code, capsys, monkeypatch):
     assert err.startswith(f"ERROR {code}:") and err.count("\n") == 1
 
 
+CONFIG_COMMANDS = [
+    ["synth", "--config", "@fuzz", "--out-dir", "@out"],
+    ["train", "--features", "@features.csv", "--config", "@fuzz", "--model-out", "@out.json"],
+    ["compare", "--features", "@features.csv", "--config", "@fuzz", "--out", "@out.json"],
+    ["table1", "--features", "@features.csv", "--config", "@fuzz", "--out", "@out.json"],
+]
+MODEL_COMMANDS = [
+    ["evaluate", "--model", "@fuzz", "--features", "@features.csv", "--out", "@out.json"],
+    ["shap", "--model", "@fuzz", "--features", "@features.csv", "--out", "@out.json"],
+    ["predict", "--model", "@fuzz", "--input", "@vector.json"],
+]
 FUZZ_COMMANDS = {
     "csv": [
         ["correlate", "--features", "@fuzz", "--out", "@out.json"],
@@ -293,24 +342,50 @@ FUZZ_COMMANDS = {
         ["table1", "--features", "@fuzz", "--out", "@out.json"],
     ],
     "json": [
-        ["synth", "--config", "@fuzz", "--out-dir", "@out"],
-        ["train", "--features", "@features.csv", "--config", "@fuzz", "--model-out", "@out.json"],
-        ["compare", "--features", "@features.csv", "--config", "@fuzz", "--out", "@out.json"],
-        ["table1", "--features", "@features.csv", "--config", "@fuzz", "--out", "@out.json"],
-        ["evaluate", "--model", "@fuzz", "--features", "@features.csv", "--out", "@out.json"],
-        ["shap", "--model", "@fuzz", "--features", "@features.csv", "--out", "@out.json"],
-        ["predict", "--model", "@fuzz", "--input", "@scalar.json"],
+        *CONFIG_COMMANDS,
+        *MODEL_COMMANDS,
         ["predict", "--model", "@model.json", "--input", "@fuzz"],
         ["features", *DATASET, "--segments", "@fuzz", "--out", "@out.csv"],
     ],
+    "config": CONFIG_COMMANDS,
+    "model": MODEL_COMMANDS,
 }
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
 # JSON values other than objects, so a fuzzed config can never be a valid one
 # (which would start a full-size fit).
-NON_OBJECT_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3), max_leaves=6,
-).map(lambda v: json.dumps(v).encode())
+NON_OBJECT_JSON = JSON_VALUES.filter(lambda v: not isinstance(v, dict))
+CONFIG_TYPES = {**typing.get_type_hints(data.SynthConfig),
+                **typing.get_type_hints(pipeline.TrainConfig)}
+NUMERIC_FIELDS = sorted(k for k, t in CONFIG_TYPES.items() if t in (int, float))
+# Config objects invalid by construction: any object plus one unknown key,
+# or a non-number (null, a boolean, a string, a list, an object) on a
+# numeric field.
+BAD_CONFIGS = st.builds(
+    lambda obj, key, value: {**obj, key: value},
+    st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=3),
+    st.text(max_size=8).filter(lambda k: k not in CONFIG_TYPES),
+    JSON_VALUES,
+) | st.builds(
+    lambda key, value: {key: value},
+    st.sampled_from(NUMERIC_FIELDS),
+    JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float))),
+)
+MODEL_SECTIONS = [("elm", "norm"), ("elm", "elm"), ("woa-elm", "norm"), ("woa-elm", "elm"),
+                  *[(kind, kind) for kind in modelio.BASELINE_KINDS]]
+# (kind, raw bytes), or for "model" ("model", ((model kind, section), value)):
+# a valid model file of that kind with one section replaced by a non-object.
+FUZZ_CASES = (
+    st.tuples(st.sampled_from(["csv", "json"]),
+              st.binary(max_size=200) | NON_OBJECT_JSON.map(lambda v: json.dumps(v).encode()))
+    | st.tuples(st.just("config"), BAD_CONFIGS.map(lambda v: json.dumps(v).encode()))
+    | st.tuples(st.just("model"), st.tuples(st.sampled_from(MODEL_SECTIONS), NON_OBJECT_JSON))
+)
 
 
 def _is_json_object(raw: bytes) -> bool:
@@ -320,12 +395,16 @@ def _is_json_object(raw: bytes) -> bool:
         return False
 
 
-@settings(max_examples=15, deadline=None,
+@settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kind=st.sampled_from(sorted(FUZZ_COMMANDS)),
-       raw=st.binary(max_size=200) | NON_OBJECT_JSON)
-def test_arbitrary_input_bytes_exit_2_3_or_4(inputs, kind, raw, capsys):
-    assume(not _is_json_object(raw))
+@given(case=FUZZ_CASES)
+def test_arbitrary_input_bytes_exit_2_3_or_4(inputs, case, capsys):
+    kind, raw = case
+    if kind == "model":
+        (model_kind, section), value = raw
+        raw = json.dumps({**load_json(inputs / f"{model_kind}.json"), section: value}).encode()
+    elif kind != "config":
+        assume(not _is_json_object(raw))
     (inputs / "fuzz").write_bytes(raw)
     for args in FUZZ_COMMANDS[kind]:
         code = main(_expand(inputs, args))

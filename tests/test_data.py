@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from batcap import data
-from batcap.jsonio import dumps_json, round_floats
+from batcap.jsonio import round_floats
 
 SAMPLES_2x11 = "battery_id,cycle,time_s,voltage_v\n" + "\n".join(
     f"cellA,{cyc},{10 * i},{3.0 + 0.01 * i}" for cyc in (1, 2) for i in range(11)
@@ -164,7 +162,7 @@ def test_synth_rejects_non_positive_capacity():
 
 
 def test_synth_deterministic(synth_ds):
-    again = data.synth_dataset(data.default_synth_config())
+    again = data.synth_dataset(data.SynthConfig())
     assert again == synth_ds
 
 
@@ -177,24 +175,19 @@ def test_synth_validates():
         data.SynthConfig(fade_power=0.0).validate()
 
 
-def test_dataset_json_round_trip_idempotent(synth_ds):
-    # One canonicalization pass (12 significant digits), then exact round-trip.
-    once = data.dataset_from_dict(json.loads(dumps_json(data.dataset_to_dict(synth_ds))))
-    twice = data.dataset_from_dict(json.loads(dumps_json(data.dataset_to_dict(once))))
-    assert once == twice
-    assert dumps_json(data.dataset_to_dict(once)) == dumps_json(data.dataset_to_dict(twice))
-
-
 def test_dataset_csv_round_trip(synth_ds):
     samples = data.samples_csv(synth_ds)
     capacity = data.capacity_csv(synth_ds)
     records = data.parse_samples(samples)
     caps = data.parse_capacity(capacity)
     ds = data.assemble_dataset(records, caps, synth_ds.battery_id, synth_ds.nominal_capacity)
-    assert len(ds) == len(synth_ds)
-    orig = round_floats(data.dataset_to_dict(synth_ds))
-    redone = round_floats(data.dataset_to_dict(ds))
-    assert orig == redone
+    assert (ds.battery_id, ds.nominal_capacity) == (synth_ds.battery_id, synth_ds.nominal_capacity)
+
+    def fields(d):
+        return round_floats([[c.cycle_index, list(c.times), list(c.voltages), c.discharge_capacity]
+                             for c in d.cycles])
+
+    assert fields(ds) == fields(synth_ds)
 
 
 def test_split_rows_ordered_is_prefix_suffix():

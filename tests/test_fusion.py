@@ -246,14 +246,6 @@ def test_embed_new_points_interpolates_between_neighbors():
     assert out[0] == pytest.approx([5.0, 0.0])
 
 
-def test_standardize_columns():
-    X = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
-    scaled, means, sds = fusion.standardize_columns(X)
-    assert np.allclose(scaled[:, 0].mean(), 0.0)
-    assert np.allclose(scaled[:, 0].std(), 1.0)
-    assert np.all(scaled[:, 1] == 0.0)  # constant column passes through
-
-
 def test_exaggeration_restores_affinity_matrix_exactly(monkeypatch):
     # observe the exact AffinityMatrix object the embedding works with
     X, _ = two_clusters(n_per=8, dim=4, seed=19)

@@ -173,12 +173,6 @@ def test_optimize_rejects_non_finite_objective():
         woa.woa_optimize(bad, small_config())
 
 
-def test_optimize_component_gate_variant_runs():
-    cfg = small_config(gate_norm="component", t_max=40)
-    res = woa.woa_optimize(sphere, cfg)
-    assert np.all(np.diff(res.history) <= 0.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         woa.WoaConfig(dim=0, bounds=()).validate()
@@ -186,8 +180,6 @@ def test_config_validation():
         woa.WoaConfig(dim=1, bounds=((1.0, 1.0),)).validate()
     with pytest.raises(ValueError):
         woa.WoaConfig(dim=1, bounds=((0.0, 1.0),), pop_size=1).validate()
-    with pytest.raises(ValueError):
-        woa.WoaConfig(dim=1, bounds=((0.0, 1.0),), gate_norm="manhattan").validate()
 
 
 def scalar_reference_woa(f, cfg):
@@ -212,11 +204,7 @@ def scalar_reference_woa(f, cfg):
             rand_idx = rng.below(cfg.pop_size)
             A, C = woa.update_coefficients(t, cfg.t_max, r1, r2)
             if p < 0.5:
-                if cfg.gate_norm == "euclidean":
-                    gate = float(np.linalg.norm(A))
-                else:
-                    gate = float(np.max(np.abs(A)))
-                if gate < 1.0:
+                if float(np.linalg.norm(A)) < 1.0:
                     new_positions[i] = woa.encircle_step(positions[i], best_pos, A, C)
                 else:
                     new_positions[i] = woa.random_search_step(
@@ -232,9 +220,8 @@ def scalar_reference_woa(f, cfg):
     return best_pos, history
 
 
-@pytest.mark.parametrize("gate_norm", ["euclidean", "component"])
 @pytest.mark.parametrize("t_max", [1, 7, 8, 9, 17])
-def test_optimize_matches_scalar_reference(gate_norm, t_max):
+def test_optimize_matches_scalar_reference(t_max):
     # Off-centre box with per-dimension bounds, so the search step and the
     # clipping both act and a bound mix-up would show.
     bounds = tuple((-1.0 - 0.5 * k, 2.0 + k) for k in range(5))
@@ -242,8 +229,7 @@ def test_optimize_matches_scalar_reference(gate_norm, t_max):
     def shifted_sphere(x):
         return float(np.sum((x - 1.5) ** 2))
 
-    cfg = small_config(dim=5, bounds=bounds, pop_size=6, t_max=t_max, seed=4,
-                       gate_norm=gate_norm)
+    cfg = small_config(dim=5, bounds=bounds, pop_size=6, t_max=t_max, seed=4)
     res = woa.woa_optimize(shifted_sphere, cfg)
     best_pos, history = scalar_reference_woa(shifted_sphere, cfg)
     assert np.array_equal(res.best_position, best_pos)
