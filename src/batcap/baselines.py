@@ -61,6 +61,20 @@ class _Node:
         return self.left is None
 
 
+def _libm_square(a: np.ndarray) -> np.ndarray:
+    """a ** 2 through libm ``pow``, as numpy scalars and Python floats square.
+
+    numpy's array ``** 2`` multiplies, and ``pow`` can round the square one
+    ulp apart from that product; on tied gains such an ulp picks the split.
+    """
+    flat = a.ravel().tolist()
+    try:
+        squares = [v ** 2 for v in flat]
+    except OverflowError:  # Python floats raise where numpy scalars give inf
+        squares = [np.float64(v) ** 2 for v in flat]
+    return np.array(squares).reshape(a.shape)
+
+
 class RegressionTree:
     """Variance-reduction CART for regression."""
 
@@ -114,31 +128,40 @@ class RegressionTree:
         return node
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
+        """Highest-gain split over every candidate feature and position at once.
+
+        A split wins only if its gain beats the best so far by more than
+        1e-12, scanning features in ascending order and positions within a
+        feature from the lowest threshold up.
+        """
         n = len(y)
         total_sum = y.sum()
         total_sq = float(np.sum(y * y))
         parent_sse = total_sq - total_sum ** 2 / n
+        features = self._candidate_features()
+        cols = X[:, features]
+        order = np.argsort(cols, axis=0, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=0)
+        ys = y[order]
+        lo, hi = self.min_leaf - 1, n - self.min_leaf  # split after row i, lo <= i < hi
+        csum = np.cumsum(ys, axis=0)[lo:hi]
+        csq = np.cumsum(ys * ys, axis=0)[lo:hi]
+        left_n = np.arange(lo + 1, hi + 1, dtype=float)[:, None]
+        left_sse = csq - _libm_square(csum) / left_n
+        right_sse = (total_sq - csq) - _libm_square(total_sum - csum) / (n - left_n)
+        gain = parent_sse - left_sse - right_sse
+        gain[xs[lo:hi] == xs[lo + 1:hi + 1]] = -np.inf
         best_gain = 0.0
-        best: tuple[int, float] | None = None
-        for feature in self._candidate_features():
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            ys = y[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys * ys)
-            for i in range(self.min_leaf - 1, n - self.min_leaf):
-                if xs[i] == xs[i + 1]:
-                    continue
-                left_n = i + 1
-                right_n = n - left_n
-                left_sse = csq[i] - csum[i] ** 2 / left_n
-                right_sum = total_sum - csum[i]
-                right_sse = (total_sq - csq[i]) - right_sum ** 2 / right_n
-                gain = parent_sse - left_sse - right_sse
-                if gain > best_gain + 1e-12:
-                    best_gain = gain
-                    best = (feature, float((xs[i] + xs[i + 1]) / 2.0))
-        return best
+        best = -1
+        for j, g in enumerate(gain.T.ravel().tolist()):
+            if g > best_gain + 1e-12:
+                best_gain = g
+                best = j
+        if best < 0:
+            return None
+        col, i = divmod(best, hi - lo)
+        i += lo
+        return features[col], float((xs[i, col] + xs[i + 1, col]) / 2.0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._root is None:
@@ -272,13 +295,15 @@ def _tree_to_dict(node: _Node) -> dict:
     }
 
 
-def _tree_from_dict(obj: dict) -> _Node:
+def _tree_from_dict(obj: dict, n_features: int) -> _Node:
     node = _Node(value=float(obj["value"]))
     if "feature" in obj:
         node.feature = int(obj["feature"])
+        if not 0 <= node.feature < n_features:
+            raise ValueError(f"tree feature {node.feature} is not one of {n_features} inputs")
         node.threshold = float(obj["threshold"])
-        node.left = _tree_from_dict(obj["left"])
-        node.right = _tree_from_dict(obj["right"])
+        node.left = _tree_from_dict(obj["left"], n_features)
+        node.right = _tree_from_dict(obj["right"], n_features)
     return node
 
 
@@ -317,7 +342,8 @@ def baseline_to_dict(model, kind: str, seed: int = 0) -> dict:
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
-def baseline_from_dict(obj: dict):
+def baseline_from_dict(obj: dict, n_features: int):
+    """Decode a model.json baseline that predicts from n_features inputs."""
     kind = obj["kind"]
     if kind == "knn":
         section = obj["knn"]
@@ -326,17 +352,21 @@ def baseline_from_dict(obj: dict):
         model._sds = np.array(section["sds"], dtype=float)
         model._X = np.array(section["train_x"], dtype=float)
         model._y = np.array(section["train_y"], dtype=float)
+        if model._X.ndim != 2 or model._X.shape[1] != n_features \
+                or model._y.shape != (len(model._X),):
+            raise ValueError(f"knn train_x must have {n_features} columns and "
+                             "train_y one number per train_x row")
         return model
     if kind == "tree":
         model = RegressionTree()
-        model._root = _tree_from_dict(obj["tree"])
+        model._root = _tree_from_dict(obj["tree"], n_features)
         return model
     if kind == "forest":
         model = RandomForest()
         model._trees = []
         for tree_obj in obj["forest"]["trees"]:
             tree = RegressionTree()
-            tree._root = _tree_from_dict(tree_obj)
+            tree._root = _tree_from_dict(tree_obj, n_features)
             model._trees.append(tree)
         return model
     if kind == "gbrt":
@@ -346,7 +376,7 @@ def baseline_from_dict(obj: dict):
         model._trees = []
         for tree_obj in section["trees"]:
             tree = RegressionTree()
-            tree._root = _tree_from_dict(tree_obj)
+            tree._root = _tree_from_dict(tree_obj, n_features)
             model._trees.append(tree)
         return model
     raise ValueError(f"unknown baseline kind {kind!r}")

@@ -18,12 +18,16 @@ from .rng import Rng
 SVD_CUTOFF = 1e-10  # singular values below cutoff * sigma_max count as zero
 
 
+ACTIVATIONS = {
+    "sigmoid": lambda u: 1.0 / (1.0 + np.exp(-u)),
+    "tanh": np.tanh,
+}
+
+
 def _activation(name: str):
-    if name == "sigmoid":
-        return lambda u: 1.0 / (1.0 + np.exp(-u))
-    if name == "tanh":
-        return np.tanh
-    raise ValueError(f"unknown activation {name!r}")
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name]
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,20 @@ def elm_from_dict(obj: dict) -> ElmModel:
         target_max=float(obj["norm"]["tmax"]),
     )
     section = obj["elm"]
+    hidden_l = int(section["l"])
+    omega = np.array(section["omega"], dtype=float)
+    bias = np.array(section["b"], dtype=float)
+    beta = np.array(section["beta"], dtype=float)
+    if omega.ndim != 2 or len(omega) != hidden_l:
+        raise ValueError(f"omega must be a matrix of l = {hidden_l} rows")
+    if bias.shape != (hidden_l,) or beta.shape != (hidden_l,):
+        raise ValueError(f"b and beta must each hold l = {hidden_l} numbers")
     return ElmModel(
-        omega=np.array(section["omega"], dtype=float),
-        bias=np.array(section["b"], dtype=float),
-        beta=np.array(section["beta"], dtype=float)[:, None],
+        omega=omega,
+        bias=bias,
+        beta=beta[:, None],
         activation=section["activation"],
         norm=norm,
-        hidden_l=int(section["l"]),
+        hidden_l=hidden_l,
         seed=int(obj.get("seed", 0)),
     )

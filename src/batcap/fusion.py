@@ -183,14 +183,15 @@ def tsne_embed(X: np.ndarray, d: int, params: TsneParams) -> EmbeddingResult:
     Y = rng.normals(n * d, 0.0, 1e-4).reshape(n, d)
     velocity = np.zeros_like(Y)
     kl_history: list[float] = []
+    Q = student_t_affinities(Y)
     for t in range(1, params.iterations + 1):
         P_t = P_exaggerated if t <= EXAGGERATION_ITERS else P
-        Q = student_t_affinities(Y)
         grad = tsne_gradient(P_t, Q, Y)
         momentum = MOMENTUM_EARLY if t < MOMENTUM_SWITCH_ITER else MOMENTUM_LATE
         velocity = momentum * velocity - LEARNING_RATE * grad
         Y = Y + velocity
-        kl_history.append(kl_divergence(P, student_t_affinities(Y)))
+        Q = student_t_affinities(Y)  # this step's KL and the next step's gradient
+        kl_history.append(kl_divergence(P, Q))
     return EmbeddingResult(
         Y=Y,
         final_kl=kl_history[-1],

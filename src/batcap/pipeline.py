@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlation import pearson
 from .data import split_rows
-from .elm import ElmModel, elm_fit_with_weights, elm_predict, fit_normalization, elm_hidden, elm_solve_beta
+from .elm import ACTIVATIONS, ElmModel, elm_fit_with_weights, elm_predict, fit_normalization, elm_hidden, elm_solve_beta
 from .features import FEATURE_UNITS, FeatureMatrix
 from .fusion import TsneParams, embed_new_points, scale_feature_groups, tsne_embed
 from .rng import derive_seed
@@ -45,6 +45,12 @@ class TrainConfig:
             raise ValueError("split_ratio must lie in (0, 1)")
         if self.fitness_holdout is not None and not 0.0 < self.fitness_holdout < 1.0:
             raise ValueError("fitness_holdout must lie in (0, 1)")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.woa_pop < 2:
+            raise ValueError("woa_pop must be >= 2")
+        if self.woa_iters < 1:
+            raise ValueError("woa_iters must be >= 1")
 
 
 def encode_position(omega: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -141,7 +141,7 @@ def test_serialization_round_trip(kind):
         model = bl.RandomForest(n_trees=5, seed=7).fit(X, y)
     else:
         model = bl.GradientBoosting(n_trees=10).fit(X, y)
-    back = bl.baseline_from_dict(bl.baseline_to_dict(model, kind))
+    back = bl.baseline_from_dict(bl.baseline_to_dict(model, kind), X.shape[1])
     assert np.allclose(model.predict(X), back.predict(X), atol=1e-12)
 
 
@@ -153,3 +153,87 @@ def test_baseline_fit_predict_wrappers():
         assert pred.shape == (4,)
     with pytest.raises(ValueError, match="unknown baseline"):
         bl.baseline_fit("svm", X, y)
+
+
+def _scalar_best_split(tree, X, y):
+    """The per-position loop that the array scan in _best_split replaced."""
+    n = len(y)
+    total_sum = y.sum()
+    total_sq = float(np.sum(y * y))
+    parent_sse = total_sq - total_sum ** 2 / n
+    best_gain = 0.0
+    best = None
+    for feature in tree._candidate_features():
+        order = np.argsort(X[:, feature], kind="stable")
+        xs = X[order, feature]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        for i in range(tree.min_leaf - 1, n - tree.min_leaf):
+            if xs[i] == xs[i + 1]:
+                continue
+            left_n = i + 1
+            right_n = n - left_n
+            left_sse = csq[i] - csum[i] ** 2 / left_n
+            right_sum = total_sum - csum[i]
+            right_sse = (total_sq - csq[i]) - right_sum ** 2 / right_n
+            gain = parent_sse - left_sse - right_sse
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best = (feature, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+class _ScalarTree(bl.RegressionTree):
+    _best_split = _scalar_best_split
+
+
+def _fuzzed_node(seed):
+    """Bootstrapped rows with tied, constant, rescaled and reversed columns,
+    so that equal and near-equal gains occur. Targets are capacity-like
+    (130 +- 3) or residual-like (gains near the 1e-12 margin)."""
+    rng = np.random.default_rng(seed)
+    base = int(rng.integers(3, 25))
+    x = rng.normal(3.0, 0.01, base)
+    X = np.column_stack([
+        x,
+        np.round(x, 2),                      # ties within the column
+        np.full(base, 0.5),                  # constant column
+        x * 4.6e-5,                          # same order, other rounding
+        -x,                                  # reversed order
+        rng.integers(0, 3, base).astype(float),
+    ])
+    y = 130.0 + rng.normal(0.0, 3.0, base) if rng.random() < 0.5 else rng.normal(0.0, 1e-6, base)
+    rows = rng.integers(0, base, int(rng.integers(2, 3 * base + 2)))
+    return X[rows], y[rows]
+
+
+def test_array_split_scan_grows_the_scalar_loop_trees():
+    for seed in range(300):
+        X, y = _fuzzed_node(seed)
+        kwargs = dict(max_depth=int(1 + seed % 6), min_leaf=int(1 + seed % 4),
+                      features_per_split=(None, 1, 5)[seed % 3], seed=seed)
+        got = bl.RegressionTree(**kwargs).fit(X, y)
+        want = _ScalarTree(**kwargs).fit(X, y)
+        assert bl._tree_to_dict(got._root) == bl._tree_to_dict(want._root), seed
+
+
+def test_split_gains_square_like_the_scalar_loop():
+    # Array squaring (x * x) rounds one of these gains an ulp away from
+    # libm pow and moves the split to feature 1.
+    a = [2.99962362849, 0.000138433795576]
+    b = [3.00015827282, 0.000138361229305]
+    X = np.array([a, b, a, b, a])
+    y = np.array([133.531429266, 132.541505429, 133.531429266, 132.541505429, 133.531429266])
+    got = bl.RegressionTree(max_depth=1).fit(X, y)._root
+    want = _ScalarTree(max_depth=1).fit(X, y)._root
+    assert (got.feature, got.threshold) == (want.feature, want.threshold)
+
+
+def test_split_scan_keeps_the_scalar_loop_on_overflowing_squares():
+    X, y = toy_regression(30, seed=37)
+    y = 1e200 * (3.0 + y)
+    with np.errstate(all="ignore"):
+        got = bl.RegressionTree(max_depth=3).fit(X, y)._root
+        want = _ScalarTree(max_depth=3).fit(X, y)._root
+    assert bl._tree_to_dict(got) == bl._tree_to_dict(want)

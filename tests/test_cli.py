@@ -241,7 +241,32 @@ def inputs(tmp_path_factory):
     for name, obj in BAD_FILES.items():
         (d / name).write_text(json.dumps(obj))
     (d / "knn_fusion_int.json").write_text(json.dumps({**load_json(d / "knn.json"), "fusion": 3}))
+    for name, obj in _misshapen_models(d, matrix).items():
+        dump_json(obj, d / name)
     return d
+
+
+def _replaced(obj, section, **fields):
+    return {**obj, section: {**obj[section], **fields}}
+
+
+def _misshapen_models(d, matrix):
+    """Model files of the right JSON types whose arrays have the wrong shape."""
+    elm, knn, tree = (load_json(d / f"{kind}.json") for kind in ("elm", "knn", "tree"))
+    n = len(features.FEATURE_NAMES)
+    # A knn model on an identity "embedding", so that the fusion section is valid.
+    fused = {**knn, "fusion": modelio.fusion_section(np.zeros(n), np.ones(n), matrix.X, matrix.X)}
+    return {
+        "elm_flat_omega.json": _replaced(elm, "elm", omega=elm["elm"]["omega"][0]),
+        "elm_short_beta.json": _replaced(elm, "elm", beta=elm["elm"]["beta"][1:]),
+        "elm_short_b.json": _replaced(elm, "elm", b=elm["elm"]["b"][1:]),
+        "tree_feature_99.json": _replaced(tree, "tree", feature=99),
+        "tree_feature_negative.json": _replaced(tree, "tree", feature=-1),
+        "knn_short_train_y.json": _replaced(knn, "knn", train_y=knn["knn"]["train_y"][1:]),
+        "fusion_flat_train_x.json": _replaced(fused, "fusion", train_x=matrix.X[0].tolist()),
+        "fusion_flat_train_y.json": _replaced(fused, "fusion", train_y=matrix.y.tolist()),
+        "fusion_k0.json": _replaced(fused, "fusion", k=0),
+    }
 
 
 # JSON objects of the right outer type whose fields are wrong.
@@ -250,6 +275,9 @@ BAD_FILES = {
     "cfg_typo.json": {"woa_iter": 3},
     "cfg_bool.json": {"hidden_l": True},
     "cfg_str.json": {"fitness_holdout": "0.25"},
+    "cfg_relu.json": {"activation": "relu"},
+    "cfg_one_whale.json": {"woa_pop": 1, "hidden_l": 4},
+    "cfg_no_iters.json": {"woa_iters": 0},
     "synth_list.json": {"n_cycles": [1]},
     "synth_huge.json": {"q0": 10 ** 400},
     "tree_int.json": {"kind": "tree", "tree": 5},
@@ -259,6 +287,10 @@ BAD_FILES = {
 }
 BAD_MODELS = ["tree_int.json", "knn_list.json", "forest_int_trees.json", "elm_int_norm.json",
               "knn_fusion_int.json"]
+MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.json",
+                    "tree_feature_99.json", "tree_feature_negative.json",
+                    "knn_short_train_y.json", "fusion_flat_train_x.json",
+                    "fusion_flat_train_y.json", "fusion_k0.json"]
 
 
 def _expand(d, args):
@@ -297,6 +329,9 @@ MALFORMED = [
       "--out", "@out.json"], 2),
     *[(["train", "--features", "@features.csv", "--config", f"@{cfg}", "--model-out", "@out.json"], 4)
       for cfg in ("cfg_null.json", "cfg_typo.json", "cfg_bool.json", "cfg_str.json")],
+    *[(["compare", "--features", "@features.csv", "--config", f"@{cfg}", "--models", "elm,woa-elm",
+        "--out", "@out.json"], 4)
+      for cfg in ("cfg_relu.json", "cfg_one_whale.json", "cfg_no_iters.json")],
     (["synth", "--config", "@synth_list.json", "--out-dir", "@out"], 4),
     (["synth", "--config", "@synth_huge.json", "--out-dir", "@out"], 4),
     *[(args, 4) for model in BAD_MODELS for args in (
@@ -304,6 +339,8 @@ MALFORMED = [
         ["evaluate", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
         ["shap", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
     )],
+    *[(["predict", "--model", f"@{model}", "--input", "@vector.json"], 4)
+      for model in MISSHAPEN_MODELS],
 ]
 
 
@@ -318,6 +355,12 @@ def test_malformed_input_exit_codes(inputs, args, code, capsys, monkeypatch):
     assert main(_expand(inputs, args)) == code
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR {code}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", MISSHAPEN_MODELS)
+def test_misshapen_model_is_rejected_while_decoding(inputs, name):
+    with pytest.raises(ValueError, match="^malformed"):
+        modelio.make_predictor(load_json(inputs / name))
 
 
 CONFIG_COMMANDS = [
