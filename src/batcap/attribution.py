@@ -3,29 +3,20 @@
 The value of a coalition S is the model prediction on a hybrid input taking
 coordinates in S from the explained instance and the rest from a background
 vector. With M features all 2^M coalition values are evaluated in one batched
-model call, so attributions are exact rather than sampled; M is capped at 20
-(and at 12 for pairwise interactions, which need 2^M per pair).
+model call, so attributions are exact rather than sampled; M is capped at 20.
+The masks, index arrays and weights depend only on M and are built once per M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 MAX_FEATURES_EXACT = 20
-MAX_FEATURES_INTERACTION = 12
-
-
-def as_predict_fn(model):
-    """Accept either a fitted model with .predict or a bare callable."""
-    if hasattr(model, "predict"):
-        return model.predict
-    if callable(model):
-        return model
-    raise TypeError("predictor must be callable or expose .predict")
 
 
 @dataclass(frozen=True)
@@ -36,58 +27,55 @@ class AttributionReport:
     feature_names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class InteractionMatrix:
-    values: np.ndarray  # (M, M), symmetric; diagonal = main effects
-    feature_names: tuple[str, ...]
+@lru_cache(maxsize=4)  # bounded: the tables for M = 20 hold about 280 MB
+def _coalitions(m: int):
+    """The (2^M, M) bool mask of each coalition bitmask and, per feature j,
+    ``(without, with_j, w)``: the bitmasks lacking j, the same with j added,
+    and the Shapley weight of each ``without`` coalition. Every caller shares
+    these arrays, so they are read-only.
+    """
+    idx = np.arange(1 << m)
+    bits = (idx[:, None] >> np.arange(m)[None, :]) & 1
+    popcount = bits.sum(axis=1)
+    # |S|! (M - |S| - 1)! / M!, computed as exact rationals first.
+    weights = np.array([float(Fraction(factorial(s) * factorial(m - s - 1), factorial(m)))
+                        for s in range(m)])
+    masks = bits.astype(bool)
+    terms = []
+    for j in range(m):
+        without = idx[(idx >> j) & 1 == 0]
+        terms.append((without, without + (1 << j), weights[popcount[without]]))
+    for a in [masks, *[x for term in terms for x in term]]:
+        a.flags.writeable = False
+    return masks, tuple(terms)
 
 
 def _coalition_values(predict, x: np.ndarray, background: np.ndarray) -> np.ndarray:
     """Model value of every coalition, indexed by bitmask."""
-    m = len(x)
-    n_masks = 1 << m
-    masks = ((np.arange(n_masks)[:, None] >> np.arange(m)[None, :]) & 1).astype(bool)
+    masks, _ = _coalitions(len(x))
     Z = np.where(masks, x[None, :], background[None, :])
     values = np.asarray(predict(Z), dtype=float).reshape(-1)
-    if values.shape[0] != n_masks:
+    if values.shape[0] != len(masks):
         raise ValueError("predictor must return one value per input row")
     if not np.all(np.isfinite(values)):
         raise ValueError("predictor returned non-finite values")
     return values
 
 
-def _popcounts(n_masks: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(n_masks)])
-
-
-def _shapley_weights(m: int) -> np.ndarray:
-    # |S|! (M - |S| - 1)! / M!, computed as exact rationals first.
-    return np.array(
-        [float(Fraction(factorial(s) * factorial(m - s - 1), factorial(m)))
-         for s in range(m)]
-    )
-
-
 def _phi(values: np.ndarray, m: int) -> np.ndarray:
     """Shapley values of the M features from the 2^M coalition values."""
-    pc = _popcounts(len(values))
-    weights = _shapley_weights(m)
-    idx = np.arange(len(values))
-    phi = np.empty(m)
-    for j in range(m):
-        without = idx[(idx >> j) & 1 == 0]
-        with_j = without + (1 << j)
-        phi[j] = float(np.sum(weights[pc[without]] * (values[with_j] - values[without])))
-    return phi
+    _, terms = _coalitions(m)
+    return np.array([float(np.sum(w * (values[with_j] - values[without])))
+                     for without, with_j, w in terms])
 
 
-def shapley_exact(model, x, background, feature_names=None) -> AttributionReport:
+def shapley_exact(predict, x, background, feature_names=None) -> AttributionReport:
     """Exact Shapley attribution of one prediction against a background.
 
-    Guarantees local accuracy: base_value + sum(phi) equals the prediction on
-    the explained instance (up to float accumulation).
+    ``predict`` maps an (N, M) array to N values. Guarantees local accuracy:
+    base_value + sum(phi) equals the prediction on the explained instance (up
+    to float accumulation).
     """
-    predict = as_predict_fn(model)
     x = np.asarray(x, dtype=float).reshape(-1)
     background = np.asarray(background, dtype=float).reshape(-1)
     m = len(x)
@@ -119,7 +107,7 @@ class ShapleySummary:
     background: np.ndarray
 
 
-def shapley_summary(model, X, feature_names=None, background_mode: str = "mean",
+def shapley_summary(predict, X, feature_names=None, background_mode: str = "mean",
                     background_rows=None) -> ShapleySummary:
     """Per-row attributions over a matrix plus the mean-|phi| ranking.
 
@@ -132,7 +120,7 @@ def shapley_summary(model, X, feature_names=None, background_mode: str = "mean",
         raise ValueError("no rows to explain")
     B = X if background_rows is None else np.asarray(background_rows, dtype=float)
     background = B.mean(axis=0) if background_mode == "mean" else np.median(B, axis=0)
-    reports = [shapley_exact(model, row, background, feature_names) for row in X]
+    reports = [shapley_exact(predict, row, background, feature_names) for row in X]
     phi_table = np.stack([r.phi for r in reports])
     mean_abs = np.abs(phi_table).mean(axis=0)
     names = reports[0].feature_names
@@ -148,47 +136,8 @@ def shapley_summary(model, X, feature_names=None, background_mode: str = "mean",
     )
 
 
-def interaction_matrix(model, x, background, feature_names=None) -> InteractionMatrix:
-    """Pairwise Shapley interaction values; diagonal makes rows sum to phi."""
-    predict = as_predict_fn(model)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    background = np.asarray(background, dtype=float).reshape(-1)
-    m = len(x)
-    if m > MAX_FEATURES_INTERACTION:
-        raise ValueError(
-            f"{m} features exceed the interaction cap of {MAX_FEATURES_INTERACTION}"
-        )
-    if m < 2:
-        raise ValueError("interactions need at least 2 features")
-    values = _coalition_values(predict, x, background)
-    pc = _popcounts(len(values))
-    idx = np.arange(len(values))
-    # |S|! (M - |S| - 2)! / (2 (M - 1)!) for |S| = 0 .. M-2
-    pair_weights = np.array(
-        [float(Fraction(factorial(s) * factorial(m - s - 2), 2 * factorial(m - 1)))
-         for s in range(m - 1)]
-    )
-    inter = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            both_clear = idx[((idx >> i) & 1 == 0) & ((idx >> j) & 1 == 0)]
-            v_s = values[both_clear]
-            v_i = values[both_clear + (1 << i)]
-            v_j = values[both_clear + (1 << j)]
-            v_ij = values[both_clear + (1 << i) + (1 << j)]
-            delta = v_ij - v_i - v_j + v_s
-            val = float(np.sum(pair_weights[pc[both_clear]] * delta))
-            inter[i, j] = val
-            inter[j, i] = val
-    phi = _phi(values, m)
-    for i in range(m):
-        inter[i, i] = phi[i] - (inter[i].sum() - inter[i, i])
-    names = tuple(feature_names) if feature_names else tuple(f"F{i+1}" for i in range(m))
-    return InteractionMatrix(values=inter, feature_names=names)
-
-
 def summary_to_dict(summary: ShapleySummary) -> dict:
-    """The shap.json object; pairwise interactions are left to interaction_matrix."""
+    """The shap.json object; ``interactions`` is always null (none are computed)."""
     return {
         "base_value": summary.base_value,
         "feature_names": list(summary.feature_names),

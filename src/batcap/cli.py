@@ -65,6 +65,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fusion_dims(text: str) -> tuple[int, ...]:
+    try:
+        dims = tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}") from None
+    for d in dims:
+        if d not in (1, 2, 3):
+            raise argparse.ArgumentTypeError(f"unsupported fusion dimension {d}")
+    return dims
+
+
 def _master_seed(args) -> int:
     env = os.environ.get("RUN_SEED")
     if env is not None:
@@ -185,23 +196,19 @@ def cmd_correlate(args) -> int:
 def cmd_fuse(args) -> int:
     matrix = _load_matrix(args.features)
     master = _master_seed(args)
-    dims = tuple(int(d) for d in args.dims.split(","))
-    for d in dims:
-        if d not in (1, 2, 3):
-            raise CliError(2, f"unsupported fusion dimension {d}")
     params = fusion.TsneParams(
         perplexity=args.perplexity,
         iterations=args.iterations,
         seed=derive_seed(master, "fuse"),
     )
     scaled, _, _ = fusion.scale_feature_groups(matrix.X, features.FEATURE_UNITS)
-    result = fusion.screen_dimensions(scaled, dims, params)
+    result = fusion.screen_dimensions(scaled, args.dims, params)
     force_dim = args.force_dim
-    if force_dim is not None and force_dim not in dims:
-        raise CliError(2, f"--force-dim {force_dim} not among requested dims {dims}")
+    if force_dim is not None and force_dim not in args.dims:
+        raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
     obj = fusion.screening_to_dict(result, params, force_dim)
     _write_artifact(obj, "fusion", args.out)
-    kl_text = ", ".join(f"d={d}: {format_number(result.kl_by_dim[d])}" for d in dims)
+    kl_text = ", ".join(f"d={d}: {format_number(result.kl_by_dim[d])}" for d in args.dims)
     print(f"final KL {kl_text}; recommended d = {obj['recommended_d']}")
     return 0
 
@@ -218,7 +225,7 @@ def cmd_train(args) -> int:
     if args.fused:
         params = fusion.TsneParams(seed=derive_seed(master, "fuse"))
         scaled, means, scales = fusion.scale_feature_groups(X_train, features.FEATURE_UNITS)
-        embedding = fusion.tsne_embed(scaled, args.fused_dim, params)
+        embedding = fusion.tsne_embed(scaled, pipeline.FUSED_DIM, params)
         fusion_info = modelio.fusion_section(means, scales, scaled, embedding.Y)
         X_train = embedding.Y
 
@@ -381,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fuse", help="t-SNE fusion with KL screening")
     p.add_argument("--features", required=True)
-    p.add_argument("--dims", default="1,2,3")
+    p.add_argument("--dims", type=_fusion_dims, default="1,2,3")
     p.add_argument("--perplexity", type=float, default=30.0)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--force-dim", type=int, default=None)
@@ -393,7 +400,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--model-out", required=True)
     p.add_argument("--fused", action="store_true")
-    p.add_argument("--fused-dim", type=int, default=2)
     p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--split-ordered", action="store_true")
     p.add_argument("--trace", default=None)

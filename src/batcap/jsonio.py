@@ -43,7 +43,11 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 def load_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 class SchemaError(ValueError):

@@ -22,7 +22,7 @@ from .fusion import TsneParams, embed_new_points, scale_feature_groups, tsne_emb
 from .rng import derive_seed
 from .woa import WoaConfig, WoaResult, uniform_bounds, woa_optimize
 
-FUSED_DIM = 2  # output dimension of the fused arm in fused_comparison
+FUSED_DIM = 2  # embedding dimension of fused models: fused_comparison, train --fused
 
 
 @dataclass(frozen=True)

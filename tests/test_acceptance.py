@@ -230,7 +230,7 @@ def test_criterion_07_feature_analysis_sanity(synth_matrix, synth_split):
             synth_matrix.X[train], synth_matrix.y[train]
         )
         summary = attribution.shapley_summary(
-            forest, synth_matrix.X, synth_matrix.feature_names, "mean"
+            forest.predict, synth_matrix.X, synth_matrix.feature_names, "mean"
         )
         assert "F8" in summary.ranking[:3]
     assert t.elapsed < 120.0

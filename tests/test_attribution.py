@@ -1,5 +1,7 @@
 import itertools
 import math
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -21,6 +23,38 @@ def brute_force_phi(predict, x, background):
             phi[j] += cur - prev
             prev = cur
     return phi / math.factorial(m)
+
+
+# The scalar per-row bookkeeping that the cached coalition tables replaced,
+# transcribed unchanged: the reference the tables must match bit for bit.
+def _popcounts(n_masks):
+    return np.array([bin(i).count("1") for i in range(n_masks)])
+
+
+def _shapley_weights(m):
+    return np.array(
+        [float(Fraction(factorial(s) * factorial(m - s - 1), factorial(m)))
+         for s in range(m)]
+    )
+
+
+def _phi(values, m):
+    pc = _popcounts(len(values))
+    weights = _shapley_weights(m)
+    idx = np.arange(len(values))
+    phi = np.empty(m)
+    for j in range(m):
+        without = idx[(idx >> j) & 1 == 0]
+        with_j = without + (1 << j)
+        phi[j] = float(np.sum(weights[pc[without]] * (values[with_j] - values[without])))
+    return phi
+
+
+def scalar_phi(predict, x, background):
+    m = len(x)
+    masks = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1).astype(bool)
+    values = np.asarray(predict(np.where(masks, x[None, :], background[None, :])), dtype=float)
+    return _phi(values, m)
 
 
 def random_model(rng, m):
@@ -135,51 +169,6 @@ def test_summary_background_modes_agree_on_dominant_feature():
     assert top_mean == top_median == "F2"
 
 
-def test_interactions_zero_for_additive_model():
-    predict = lambda Z: np.atleast_2d(Z) @ np.array([1.0, -2.0, 0.5])
-    inter = attr.interaction_matrix(predict, np.ones(3), np.zeros(3))
-    off_diag = inter.values[~np.eye(3, dtype=bool)]
-    assert np.allclose(off_diag, 0.0, atol=1e-12)
-
-
-def test_interactions_product_model_split_evenly():
-    predict = lambda Z: np.atleast_2d(Z)[:, 0] * np.atleast_2d(Z)[:, 1]
-    inter = attr.interaction_matrix(predict, np.array([1.0, 1.0]), np.zeros(2))
-    assert inter.values[0, 1] == pytest.approx(0.5, abs=1e-12)
-    assert inter.values[1, 0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_interactions_symmetric_and_rows_reconstruct_phi():
-    rng = Rng(58)
-    predict = random_model(rng, 5)
-    x = rng.normals(5)
-    bg = rng.normals(5)
-    inter = attr.interaction_matrix(predict, x, bg)
-    assert np.allclose(inter.values, inter.values.T, atol=1e-12)
-    phi = attr.shapley_exact(predict, x, bg).phi
-    assert np.allclose(inter.values.sum(axis=1), phi, atol=1e-9)
-
-
-def test_interactions_reject_too_many_features():
-    predict = lambda Z: np.atleast_2d(Z).sum(axis=1)
-    with pytest.raises(ValueError, match="interaction cap"):
-        attr.interaction_matrix(predict, np.zeros(13), np.zeros(13))
-
-
-def test_interactions_call_the_predictor_once():
-    rng = Rng(59)
-    model = random_model(rng, 4)
-    calls = []
-
-    def predict(Z):
-        calls.append(len(Z))
-        return model(Z)
-
-    inter = attr.interaction_matrix(predict, rng.normals(4), rng.normals(4))
-    assert calls == [2 ** 4]  # phi and the pair terms share one enumeration
-    assert inter.values.shape == (4, 4)
-
-
 def test_summary_background_rows_set_the_background():
     rng = Rng(60)
     predict = random_model(rng, 3)
@@ -197,3 +186,30 @@ def test_summary_rejects_zero_rows():
     with pytest.raises(ValueError, match="no rows"):
         attr.shapley_summary(predict, np.zeros((0, 3)), background_rows=np.zeros((2, 3)))
 
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13])
+def test_cached_tables_match_the_scalar_reference_bit_for_bit(m):
+    rng = Rng(200 + m)
+    predict = random_model(rng, m)
+    X = rng.normals(3 * m).reshape(3, m)
+    B = rng.normals(5 * m).reshape(5, m)
+    for row in X:
+        bg = rng.normals(m)
+        assert np.array_equal(attr.shapley_exact(predict, row, bg).phi, scalar_phi(predict, row, bg))
+    summary = attr.shapley_summary(predict, X, background_rows=B)
+    expected = np.stack([scalar_phi(predict, row, B.mean(axis=0)) for row in X])
+    assert np.array_equal(summary.phi_table, expected)
+
+
+def test_shapley_exact_calls_the_predictor_once():
+    rng = Rng(59)
+    model = random_model(rng, 4)
+    calls = []
+
+    def predict(Z):
+        calls.append(Z.shape)
+        return model(Z)
+
+    attr.shapley_exact(predict, rng.normals(4), rng.normals(4))
+    assert calls == [(2 ** 4, 4)]  # every coalition in one batched call

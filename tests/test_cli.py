@@ -1,4 +1,5 @@
 import json
+import shlex
 import typing
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from batcap import attribution, baselines, data, features, modelio, pipeline
-from batcap.cli import main
+from batcap.cli import build_parser, main
 from batcap.jsonio import dump_json, load_json, load_schema, validate_schema
 from batcap.rng import derive_seed
 
@@ -230,6 +231,7 @@ def inputs(tmp_path_factory):
     (d / "dict_vector.json").write_text('{"features": {}}')
     (d / "short_vector.json").write_text("[0.5]")
     (d / "empty.csv").write_text("")
+    (d / "deep.json").write_text("[" * 200_000)
     # A valid model file of every kind, named after the kind.
     matrix = features.matrix_from_csv((d / "features.csv").read_text())
     (d / "vector.json").write_text(json.dumps(matrix.X[0].tolist()))
@@ -341,6 +343,14 @@ MALFORMED = [
     )],
     *[(["predict", "--model", f"@{model}", "--input", "@vector.json"], 4)
       for model in MISSHAPEN_MODELS],
+    # JSON nested deeper than the parser's recursion limit
+    (["predict", "--model", "@deep.json", "--input", "@vector.json"], 4),
+    (["predict", "--model", "@model.json", "--input", "@deep.json"], 4),
+    (["train", "--features", "@features.csv", "--config", "@deep.json",
+      "--model-out", "@out.json"], 4),
+    (["features", *DATASET, "--segments", "@deep.json", "--out", "@out.csv"], 4),
+    *[(["fuse", "--features", "@features.csv", "--dims", dims, "--out", "@out.json"], 2)
+      for dims in ("4", "x", "", "2,,3", "1.5")],
 ]
 
 
@@ -468,3 +478,14 @@ def test_shap_background_is_the_train_split_mean(inputs, capsys):
     all_rows = attribution.shapley_exact(predict, matrix.X[0], matrix.X.mean(axis=0)).phi
     assert phi == pytest.approx(expected, rel=1e-10, abs=1e-12)
     assert not np.allclose(phi, all_rows, rtol=1e-6)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    commands = [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(commands) >= 10
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "batcap", command
+        build_parser().parse_args(argv[1:])
