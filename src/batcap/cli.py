@@ -194,6 +194,9 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    force_dim = args.force_dim
+    if force_dim is not None and force_dim not in args.dims:
+        raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
     matrix = _load_matrix(args.features)
     master = _master_seed(args)
     params = fusion.TsneParams(
@@ -203,9 +206,6 @@ def cmd_fuse(args) -> int:
     )
     scaled, _, _ = fusion.scale_feature_groups(matrix.X, features.FEATURE_UNITS)
     result = fusion.screen_dimensions(scaled, args.dims, params)
-    force_dim = args.force_dim
-    if force_dim is not None and force_dim not in args.dims:
-        raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
     obj = fusion.screening_to_dict(result, params, force_dim)
     _write_artifact(obj, "fusion", args.out)
     kl_text = ", ".join(f"d={d}: {format_number(result.kl_by_dim[d])}" for d in args.dims)
@@ -327,6 +327,8 @@ def cmd_predict(args) -> int:
     n = len(features.FEATURE_NAMES)
     if x is None or x.shape != (n,):
         raise CliError(4, f"{args.input}: expected a list of {n} feature values")
+    if not np.all(np.isfinite(x)):
+        raise CliError(4, f"{args.input}: feature values must be finite numbers")
     predict = modelio.make_predictor(model_obj)
     value = float(predict(x[None, :])[0])
     print(format_number(value))

@@ -4,7 +4,9 @@ High-dimensional affinities are Gaussian with per-point bandwidths calibrated
 to a target perplexity; low-dimensional affinities use a Student-t kernel
 with one degree of freedom. The embedding minimizes KL(P || Q) by gradient
 descent with momentum and early exaggeration. Candidate output dimensions
-are screened by their final KL value.
+are screened by their final KL value; a screen calibrates P once and embeds
+every candidate dimension from it. Out-of-sample rows are embedded a chunk
+of rows at a time, with the same bits as one row at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ MOMENTUM_SWITCH_ITER = 250
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 LEARNING_RATE = 200.0
+# Floats per (chunk, n_train, features) temporary in embed_new_points: 1 MiB.
+OOS_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -101,11 +105,19 @@ def calibrate_sigma(sq_distances: np.ndarray, target_perplexity: float,
     return 0.5 * (lo + hi)
 
 
-def _squared_distances(X: np.ndarray) -> np.ndarray:
+def _squared_distances(X: np.ndarray, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared distances |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at 0,
+    zero diagonal. Written into the (n, n) buffer ``out`` and computed through
+    the (n, n) buffer ``scratch`` when they are given, so a loop can reuse them.
+    """
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = np.add(sq[:, None], sq[None, :], out=out)
+    gram = np.matmul(X, X.T, out=scratch)
+    gram *= 2.0
+    d2 -= gram
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
@@ -132,11 +144,20 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P=P, perplexity=perplexity, sigmas=sigmas)
 
 
+def _student_t_kernel(Y: np.ndarray, w: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized Student-t kernel 1 / (1 + |y_i - y_j|^2), zero diagonal;
+    ``w`` and ``scratch`` are optional (n, n) buffers as in _squared_distances."""
+    w = _squared_distances(Y, w, scratch)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def student_t_affinities(Y: np.ndarray) -> np.ndarray:
     """Low-dimensional affinities under the heavy-tailed Student-t kernel."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    w = 1.0 / (1.0 + _squared_distances(Y))
-    np.fill_diagonal(w, 0.0)
+    w = _student_t_kernel(np.atleast_2d(np.asarray(Y, dtype=float)))
     return w / w.sum()
 
 
@@ -152,46 +173,81 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
 
 
-def tsne_gradient(P: np.ndarray, Q: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of KL(P || Q) under the Student-t kernel."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    w = 1.0 / (1.0 + _squared_distances(Y))
-    np.fill_diagonal(w, 0.0)
-    m = (P - Q) * w
+def _kernel_gradient(P: np.ndarray, Q: np.ndarray, w: np.ndarray, Y: np.ndarray,
+                     m: np.ndarray | None = None) -> np.ndarray:
+    """KL gradient from the kernel w that Q was normalized from; ``m`` is an
+    optional (n, n) buffer it overwrites."""
+    m = np.subtract(P, Q, out=m)
+    m *= w
     row_sums = m.sum(axis=1)
     return 4.0 * (row_sums[:, None] * Y - m @ Y)
 
 
-def tsne_embed(X: np.ndarray, d: int, params: TsneParams) -> EmbeddingResult:
+def tsne_gradient(P: np.ndarray, Q: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Analytic gradient of KL(P || Q) under the Student-t kernel."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    return _kernel_gradient(P, Q, _student_t_kernel(Y), Y)
+
+
+def _effective_perplexity(params: TsneParams, n: int) -> float:
+    return min(params.perplexity, (n - 1) / 3.0)
+
+
+def tsne_embed(X: np.ndarray, d: int, params: TsneParams,
+               affinities: AffinityMatrix | None = None) -> EmbeddingResult:
     """Embed X into d dimensions; deterministic for a fixed seed.
 
     The affinity matrix is exaggerated by a factor of 4 for the first 100
     iterations and left untouched afterwards; kl_history records the true
-    (unexaggerated) KL after every position update.
+    (unexaggerated) KL after every position update. ``affinities``, when
+    given, is the ``joint_affinities`` of X at the effective perplexity and
+    is used instead of calibrating P again.
     """
     params.validate()
     X = np.asarray(X, dtype=float)
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2 or 3")
     n = len(X)
-    perplexity = min(params.perplexity, (n - 1) / 3.0)
-    aff = joint_affinities(X, perplexity)
-    P = aff.P
+    perplexity = _effective_perplexity(params, n)
+    if affinities is None:
+        affinities = joint_affinities(X, perplexity)
+    elif affinities.P.shape != (n, n) or affinities.perplexity != perplexity:
+        raise ValueError(f"affinities of shape {affinities.P.shape} at perplexity "
+                         f"{affinities.perplexity} do not belong to {n} rows at "
+                         f"perplexity {perplexity}")
+    P = affinities.P
     P_exaggerated = P * EARLY_EXAGGERATION
+    # KL terms with P = 0 contribute nothing; P is fixed, so find its support once.
+    support = np.flatnonzero(P > 0)
+    P_support = P.ravel()[support]
 
     rng = Rng(derive_seed(params.seed, "tsne-init", d))
     Y = rng.normals(n * d, 0.0, 1e-4).reshape(n, d)
     velocity = np.zeros_like(Y)
     kl_history: list[float] = []
-    Q = student_t_affinities(Y)
+    # One kernel w per position update gives Q, this step's KL and the next
+    # step's gradient. Every (n, n) array lives in a buffer reused across
+    # iterations, so the loop allocates nothing of that size.
+    w, Q, m = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    Q_support = np.empty(len(support))
+    _student_t_kernel(Y, w, m)
+    np.divide(w, w.sum(), out=Q)
     for t in range(1, params.iterations + 1):
         P_t = P_exaggerated if t <= EXAGGERATION_ITERS else P
-        grad = tsne_gradient(P_t, Q, Y)
+        grad = _kernel_gradient(P_t, Q, w, Y, m)
         momentum = MOMENTUM_EARLY if t < MOMENTUM_SWITCH_ITER else MOMENTUM_LATE
         velocity = momentum * velocity - LEARNING_RATE * grad
         Y = Y + velocity
-        Q = student_t_affinities(Y)  # this step's KL and the next step's gradient
-        kl_history.append(kl_divergence(P, Q))
+        _student_t_kernel(Y, w, m)
+        np.divide(w, w.sum(), out=Q)
+        np.take(Q.ravel(), support, out=Q_support)
+        if np.any(Q_support == 0):
+            raise ValueError("Q is zero where P has mass; KL undefined")
+        # P_s * log(P_s / Q_s), evaluated in place
+        np.divide(P_support, Q_support, out=Q_support)
+        np.log(Q_support, out=Q_support)
+        Q_support *= P_support
+        kl_history.append(float(np.sum(Q_support)))
     return EmbeddingResult(
         Y=Y,
         final_kl=kl_history[-1],
@@ -209,10 +265,14 @@ class ScreeningResult:
 
 def screen_dimensions(X: np.ndarray, dims=(1, 2, 3),
                       params: TsneParams = TsneParams()) -> ScreeningResult:
-    """Embed at each candidate dimension and recommend the smallest KL."""
+    """Embed at each candidate dimension from one calibrated P and recommend
+    the smallest KL."""
+    params.validate()
+    X = np.asarray(X, dtype=float)
+    affinities = joint_affinities(X, _effective_perplexity(params, len(X)))
     embeddings = {}
     for d in dims:
-        embeddings[d] = tsne_embed(X, d, params)
+        embeddings[d] = tsne_embed(X, d, params, affinities)
     kl_by_dim = {d: e.final_kl for d, e in embeddings.items()}
     recommended = min(sorted(kl_by_dim), key=lambda d: kl_by_dim[d])
     return ScreeningResult(embeddings=embeddings, kl_by_dim=kl_by_dim,
@@ -245,21 +305,32 @@ def embed_new_points(X_train: np.ndarray, Y_train: np.ndarray,
                      X_new: np.ndarray, k: int = 5) -> np.ndarray:
     """Out-of-sample embedding by inverse-distance weighting of the k nearest
     training points in the original feature space. An exact duplicate of a
-    training row maps onto that row's embedding."""
+    training row maps onto that row's embedding.
+
+    Rows are embedded a chunk at a time, so the (chunk, n_train, features)
+    temporaries stay near ``OOS_CHUNK_ELEMENTS`` floats; every row gets the
+    same bits as it would alone.
+    """
     X_train = np.asarray(X_train, dtype=float)
     Y_train = np.asarray(Y_train, dtype=float)
     X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     k = min(k, len(X_train))
     out = np.empty((len(X_new), Y_train.shape[1]))
-    for i, x in enumerate(X_new):
-        dist = np.sqrt(np.sum((X_train - x) ** 2, axis=1))
-        nearest = np.argsort(dist, kind="stable")[:k]
-        if dist[nearest[0]] == 0.0:
-            out[i] = Y_train[nearest[0]]
-            continue
-        weights = 1.0 / dist[nearest]
-        weights /= weights.sum()
-        out[i] = weights @ Y_train[nearest]
+    chunk = max(1, OOS_CHUNK_ELEMENTS // max(1, X_train.size))
+    buffer = np.empty((min(chunk, len(X_new)),) + X_train.shape)
+    for start in range(0, len(X_new), chunk):
+        rows = X_new[start:start + chunk]
+        diff = np.subtract(X_train[None, :, :], rows[:, None, :], out=buffer[:len(rows)])
+        dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        near_dist = np.take_along_axis(dist, nearest, axis=1)
+        duplicate = near_dist[:, 0] == 0.0
+        block = out[start:start + chunk]
+        block[duplicate] = Y_train[nearest[duplicate, 0]]
+        rest = ~duplicate
+        weights = 1.0 / near_dist[rest]
+        weights /= weights.sum(axis=1, keepdims=True)
+        block[rest] = (weights[:, None, :] @ Y_train[nearest[rest]])[:, 0, :]
     return out
 
 

@@ -243,6 +243,13 @@ def inputs(tmp_path_factory):
     for name, obj in BAD_FILES.items():
         (d / name).write_text(json.dumps(obj))
     (d / "knn_fusion_int.json").write_text(json.dumps({**load_json(d / "knn.json"), "fusion": 3}))
+    # A knn model behind an identity "embedding": a valid fused model.
+    n = len(features.FEATURE_NAMES)
+    dump_json({**load_json(d / "knn.json"),
+               "fusion": modelio.fusion_section(np.zeros(n), np.ones(n), matrix.X, matrix.X)},
+              d / "knn_fused.json")
+    for name, value in NON_FINITE_VECTORS.items():
+        (d / name).write_text(json.dumps([*matrix.X[0][:5], value, *matrix.X[0][6:]]))
     for name, obj in _misshapen_models(d, matrix).items():
         dump_json(obj, d / name)
     return d
@@ -293,6 +300,10 @@ MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.j
                     "tree_feature_99.json", "tree_feature_negative.json",
                     "knn_short_train_y.json", "fusion_flat_train_x.json",
                     "fusion_flat_train_y.json", "fusion_k0.json"]
+
+
+NON_FINITE_VECTORS = {"nan_vector.json": float("nan"), "inf_vector.json": float("inf"),
+                      "neg_inf_vector.json": float("-inf")}
 
 
 def _expand(d, args):
@@ -351,6 +362,11 @@ MALFORMED = [
     (["features", *DATASET, "--segments", "@deep.json", "--out", "@out.csv"], 4),
     *[(["fuse", "--features", "@features.csv", "--dims", dims, "--out", "@out.json"], 2)
       for dims in ("4", "x", "", "2,,3", "1.5")],
+    (["fuse", "--features", "@features.csv", "--dims", "1,2", "--force-dim", "3",
+      "--out", "@out.json"], 2),
+    # NaN, Infinity and -Infinity among the features, on a plain and a fused model
+    *[(["predict", "--model", f"@{model}", "--input", f"@{vector}"], 4)
+      for model in ("model.json", "knn_fused.json") for vector in NON_FINITE_VECTORS],
 ]
 
 
@@ -365,6 +381,29 @@ def test_malformed_input_exit_codes(inputs, args, code, capsys, monkeypatch):
     assert main(_expand(inputs, args)) == code
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR {code}:") and err.count("\n") == 1
+
+
+def test_fuse_checks_force_dim_before_any_work(inputs, capsys, monkeypatch):
+    def no_embed(*a, **k):
+        raise AssertionError("t-SNE ran before --force-dim was checked")
+
+    monkeypatch.setattr("batcap.fusion.screen_dimensions", no_embed)
+    for feats in ("@features.csv", "@missing.csv"):
+        args = ["fuse", "--features", feats, "--dims", "1,2", "--force-dim", "3",
+                "--out", "@out.json"]
+        assert main(_expand(inputs, args)) == 2
+        assert "--force-dim 3 not among requested dims (1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["model.json", "knn_fused.json"])
+def test_predict_names_the_file_of_non_finite_features(inputs, model, capsys):
+    assert main(_expand(inputs, ["predict", "--model", f"@{model}", "--input", "@vector.json"])) == 0
+    assert np.isfinite(float(capsys.readouterr().out))
+    for vector in NON_FINITE_VECTORS:
+        assert main(_expand(inputs, ["predict", "--model", f"@{model}",
+                                     "--input", f"@{vector}"])) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR 4:") and vector in err and "finite" in err
 
 
 @pytest.mark.parametrize("name", MISSHAPEN_MODELS)

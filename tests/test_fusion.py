@@ -261,3 +261,185 @@ def test_exaggeration_restores_affinity_matrix_exactly(monkeypatch):
     monkeypatch.setattr(fusion, "joint_affinities", capture)
     fusion.tsne_embed(X, 2, fusion.TsneParams(perplexity=5, iterations=260, seed=6))
     assert np.array_equal(captured["P"], captured["snapshot"])
+
+
+# --- equivalence with the pre-chunking, pre-shared-kernel code -------------
+
+def _reference_squared_distances(X):
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0)
+
+
+def _reference_student_t_affinities(Y):
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    w = 1.0 / (1.0 + _reference_squared_distances(Y))
+    np.fill_diagonal(w, 0.0)
+    return w / w.sum()
+
+
+def _reference_tsne_gradient(P, Q, Y):
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    w = 1.0 / (1.0 + _reference_squared_distances(Y))
+    np.fill_diagonal(w, 0.0)
+    m = (P - Q) * w
+    row_sums = m.sum(axis=1)
+    return 4.0 * (row_sums[:, None] * Y - m @ Y)
+
+
+def _reference_tsne_embed(X, d, params):
+    """The descent loop as it was before the kernel and P's support were shared
+    and the (n, n) arrays were kept in buffers."""
+    X = np.asarray(X, dtype=float)
+    n = len(X)
+    perplexity = min(params.perplexity, (n - 1) / 3.0)
+    aff = fusion.joint_affinities(X, perplexity)
+    P = aff.P
+    P_exaggerated = P * fusion.EARLY_EXAGGERATION
+
+    rng = Rng(fusion.derive_seed(params.seed, "tsne-init", d))
+    Y = rng.normals(n * d, 0.0, 1e-4).reshape(n, d)
+    velocity = np.zeros_like(Y)
+    kl_history = []
+    Q = _reference_student_t_affinities(Y)
+    for t in range(1, params.iterations + 1):
+        P_t = P_exaggerated if t <= fusion.EXAGGERATION_ITERS else P
+        grad = _reference_tsne_gradient(P_t, Q, Y)
+        momentum = fusion.MOMENTUM_EARLY if t < fusion.MOMENTUM_SWITCH_ITER else fusion.MOMENTUM_LATE
+        velocity = momentum * velocity - fusion.LEARNING_RATE * grad
+        Y = Y + velocity
+        Q = _reference_student_t_affinities(Y)
+        kl_history.append(fusion.kl_divergence(P, Q))
+    return Y, kl_history
+
+
+def _reference_embed_new_points(X_train, Y_train, X_new, k=5):
+    """embed_new_points as it was before rows were embedded in chunks."""
+    X_train = np.asarray(X_train, dtype=float)
+    Y_train = np.asarray(Y_train, dtype=float)
+    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+    k = min(k, len(X_train))
+    out = np.empty((len(X_new), Y_train.shape[1]))
+    for i, x in enumerate(X_new):
+        dist = np.sqrt(np.sum((X_train - x) ** 2, axis=1))
+        nearest = np.argsort(dist, kind="stable")[:k]
+        if dist[nearest[0]] == 0.0:
+            out[i] = Y_train[nearest[0]]
+            continue
+        weights = 1.0 / dist[nearest]
+        weights /= weights.sum()
+        out[i] = weights @ Y_train[nearest]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (50, 2), (50, 3), (200, 13)])
+def test_buffered_kernels_match_the_allocating_formulas(shape):
+    rng = Rng(24)
+    Y = rng.normals(shape[0] * shape[1]).reshape(shape)
+    Y[3] = Y[5]  # a zero distance off the diagonal
+    P = fusion.joint_affinities(rng.normals(shape[0] * 4).reshape(shape[0], 4), 2.0).P
+    n = shape[0]
+    w, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    assert np.array_equal(fusion._squared_distances(Y, w, scratch),
+                          _reference_squared_distances(Y))
+    assert np.array_equal(fusion._squared_distances(Y), _reference_squared_distances(Y))
+    Q = _reference_student_t_affinities(Y)
+    assert np.array_equal(fusion.student_t_affinities(Y), Q)
+    assert np.array_equal(fusion.tsne_gradient(P, Q, Y), _reference_tsne_gradient(P, Q, Y))
+
+
+# Two clusters far enough apart that at perplexity 2 the Gaussian affinities
+# across them underflow to exact zeros.
+FAR_CLUSTERS = two_clusters(n_per=12, dim=4, gap=60.0, seed=21)[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("case", ["near", "far"])
+def test_embed_matches_reference_loop_bit_for_bit(d, case):
+    if case == "near":
+        X = two_clusters(n_per=15, dim=6, seed=20)[0]
+        params = fusion.TsneParams(perplexity=6, iterations=300, seed=7)
+    else:
+        X = FAR_CLUSTERS
+        params = fusion.TsneParams(perplexity=2, iterations=300, seed=7)
+        P = fusion.joint_affinities(X, 2.0).P
+        assert np.any((P == 0.0) & ~np.eye(len(X), dtype=bool))
+    Y, kl_history = _reference_tsne_embed(X, d, params)
+    emb = fusion.tsne_embed(X, d, params)
+    assert np.array_equal(emb.Y, Y)
+    assert emb.kl_history == kl_history
+
+
+def test_screen_dimensions_matches_separate_embeds(monkeypatch):
+    X = two_clusters(n_per=12, dim=5, seed=22)[0]
+    params = fusion.TsneParams(perplexity=5, iterations=260, seed=8)
+    separate = {d: fusion.tsne_embed(X, d, params) for d in (1, 2, 3)}
+    calls = []
+    original = fusion.joint_affinities
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "joint_affinities", counted)
+    result = fusion.screen_dimensions(X, dims=(1, 2, 3), params=params)
+    assert len(calls) == 1
+    for d, emb in separate.items():
+        assert np.array_equal(result.embeddings[d].Y, emb.Y)
+        assert result.embeddings[d].kl_history == emb.kl_history
+        assert result.embeddings[d].params == emb.params
+
+
+def test_embed_rejects_affinities_of_other_points():
+    X = two_clusters(n_per=5, dim=4, seed=23)[0]
+    params = fusion.TsneParams(perplexity=3)
+    with pytest.raises(ValueError, match="do not belong"):
+        fusion.tsne_embed(X, 2, params, fusion.joint_affinities(X[:-1], 3.0))
+    with pytest.raises(ValueError, match="do not belong"):
+        fusion.tsne_embed(X, 2, params, fusion.joint_affinities(X, 2.5))
+
+
+def _oos_case(n_new, d, seed, n_train=140, n_features=13):
+    rng = Rng(seed)
+    # integer coordinates, so many distances tie and the stable order decides
+    X_train = np.floor(rng.uniforms(n_train * n_features, 0.0, 4.0)).reshape(n_train, n_features)
+    Y_train = rng.normals(n_train * d).reshape(n_train, d)
+    X_new = np.floor(rng.uniforms(n_new * n_features, 0.0, 4.0)).reshape(n_new, n_features)
+    X_new[::7] = X_train[np.arange(len(X_new[::7])) * 3 % n_train]  # exact duplicates
+    X_new[1::5] += rng.normals(len(X_new[1::5]) * n_features).reshape(-1, n_features)
+    return X_train, Y_train, X_new
+
+
+def _oos_chunk():
+    return fusion.OOS_CHUNK_ELEMENTS // (140 * 13)
+
+
+@pytest.mark.parametrize("n_new", [0, 1, "chunk-1", "chunk", "chunk+1", 8192])
+def test_embed_new_points_matches_row_loop_bit_for_bit(n_new):
+    chunk = _oos_chunk()
+    n_new = {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}.get(n_new, n_new)
+    for d in (1, 2, 3):
+        X_train, Y_train, X_new = _oos_case(n_new, d, seed=30 + d)
+        out = fusion.embed_new_points(X_train, Y_train, X_new)
+        assert out.shape == (n_new, d)
+        assert np.array_equal(out, _reference_embed_new_points(X_train, Y_train, X_new))
+
+
+def test_embed_new_points_case_mix_matches_row_loop():
+    chunk = _oos_chunk()
+    X_train, Y_train, X_new = _oos_case(3 * chunk + 5, 2, seed=40)
+    assert any((X_train == x).all(axis=1).any() for x in X_new)
+    dist = np.sqrt(np.sum((X_train - X_new[2]) ** 2, axis=1))
+    assert len(np.unique(dist)) < len(dist)  # tied distances
+    X_new[chunk - 1] = np.nan
+    X_new[chunk, 3] = np.inf
+    X_new[2 * chunk, 0] = -np.inf
+    X_new[2 * chunk + 1] = X_train[139]
+    for k in (1, 5, 140, 200):
+        with np.errstate(all="ignore"):
+            out = fusion.embed_new_points(X_train, Y_train, X_new, k=k)
+            ref = _reference_embed_new_points(X_train, Y_train, X_new, k=k)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert np.array_equal(out[2 * chunk + 1], Y_train[139])
+    assert np.isnan(out[chunk - 1]).all()
