@@ -106,10 +106,13 @@ class RegressionTree:
         if k is None or k >= m:
             return list(range(m))
         # Sample without replacement, then sort for a deterministic scan order.
+        # One draw of k uniforms is the sequence of k uniform() calls, and
+        # each maps to a pool index by Rng.below's rule.
         pool = list(range(m))
         chosen = []
-        for _ in range(k):
-            chosen.append(pool.pop(self._rng.below(len(pool))))
+        for u in self._rng.uniforms(k).tolist():
+            i = int(u * len(pool))
+            chosen.append(pool.pop(min(i, len(pool) - 1)))
         return sorted(chosen)
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -320,17 +321,29 @@ def cmd_predict(args) -> int:
     model_obj = _load_object(modelio.load_model, args.model)
     payload = load_json(_require_file(args.input))
     vector = payload["features"] if isinstance(payload, dict) else payload
-    try:
-        x = np.asarray(vector, dtype=float)
-    except TypeError:
-        x = None
     n = len(features.FEATURE_NAMES)
-    if x is None or x.shape != (n,):
+    if not isinstance(vector, list) or len(vector) != n:
         raise CliError(4, f"{args.input}: expected a list of {n} feature values")
+    if not all(type(v) in (int, float) for v in vector):  # bool is not a number here
+        raise CliError(4, f"{args.input}: feature values must be JSON numbers")
+    not_finite = CliError(4, f"{args.input}: feature values must be finite numbers")
+    try:
+        x = np.array(vector, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise not_finite from None
     if not np.all(np.isfinite(x)):
-        raise CliError(4, f"{args.input}: feature values must be finite numbers")
+        raise not_finite
     predict = modelio.make_predictor(model_obj)
-    value = float(predict(x[None, :])[0])
+    # A finite row whose normalized values overflow shows up as an invalid
+    # operation (inf - inf, 0 / 0) or as a non-finite prediction.
+    with np.errstate(over="ignore", invalid="raise"):
+        try:
+            value = float(predict(x[None, :])[0])
+        except FloatingPointError:
+            value = math.nan
+    if not math.isfinite(value):
+        raise CliError(4, f"{args.input}: feature values are outside what the model's "
+                          "normalization can represent")
     print(format_number(value))
     return 0
 

@@ -16,6 +16,8 @@ import numpy as np
 from .rng import Rng
 
 SVD_CUTOFF = 1e-10  # singular values below cutoff * sigma_max count as zero
+BOUND_SAFETY = 100.0  # C of residual_lower_bounds: margin over the rounding errors
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 ACTIVATIONS = {
@@ -81,13 +83,17 @@ def elm_init(n_inputs: int, hidden_l: int, seed: int) -> tuple[np.ndarray, np.nd
 
 def elm_hidden(X: np.ndarray, omega: np.ndarray, bias: np.ndarray,
                activation: str = "sigmoid") -> np.ndarray:
-    """Hidden-layer output H[i, j] = g(omega_j . x_i + b_j)."""
+    """Hidden-layer output H[i, j] = g(omega_j . x_i + b_j).
+
+    A stack of weights, omega (pop, l, n) with bias (pop, l), gives a stack
+    of hidden layers (pop, rows, l).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != omega.shape[1]:
-        raise ValueError(f"feature dim {X.shape[1]} != weight dim {omega.shape[1]}")
-    if omega.shape[0] != bias.shape[0]:
+    if X.shape[1] != omega.shape[-1]:
+        raise ValueError(f"feature dim {X.shape[1]} != weight dim {omega.shape[-1]}")
+    if omega.shape[:-1] != bias.shape:
         raise ValueError("omega rows must match bias length")
-    return _activation(activation)(X @ omega.T + bias)
+    return _activation(activation)(X @ np.swapaxes(omega, -1, -2) + bias[..., None, :])
 
 
 def elm_solve_beta(H: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -108,6 +114,62 @@ def elm_solve_beta(H: np.ndarray, T: np.ndarray) -> np.ndarray:
     else:
         inv_s = np.zeros_like(s)
     return vt.T @ (inv_s[:, None] * (u.T @ T))
+
+
+def residual_lower_bounds(H: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Lower bounds on ||H_k beta_k - T|| for a stack H of shape (pop, n, l).
+
+    beta_k is what elm_solve_beta returns for H_k, and the norm is the
+    rounded one a caller computes from it. One batched Householder QR of
+    [H_k | T] gives R_k, and |R_k[l, l]| is dist(T, range(H_k)), the
+    least-squares residual.
+
+    Why the bound holds. In exact arithmetic, any beta leaves a residual of
+    at least dist(T, range(H)); the SVD solve, which keeps only the sigma_i
+    above SVD_CUTOFF * sigma_1, fits against a subspace of range(H) and can
+    only do worse. Rounding moves each side:
+
+    - Householder QR is backward stable (Golub & Van Loan, Matrix
+      Computations, sec. 5.3; Higham, Accuracy and Stability of Numerical
+      Algorithms, ch. 19-20). The computed |R[l, l]| is exactly
+      dist(T + dT, range(H + dH)) with ||dT|| ~ u ||T|| and
+      ||dH|| ~ u ||H||. Evaluated at the computed SVD solution beta, that
+      distance is at most ||H beta - T|| + ||dT|| + ||dH|| ||beta||.
+    - beta has ||beta|| <= ||T|| / sigma_kept, where sigma_kept is the
+      smallest singular value the SVD solve keeps. sigma_1 / sigma_kept is
+      at most sigma_1 / sigma_min and, by the cutoff, at most 1 / SVD_CUTOFF;
+      so ||dH|| ||beta|| ~ u kappa_eff ||T|| with
+      kappa_eff = min(sigma_1 / sigma_min, 1 / SVD_CUTOFF). Rounding in
+      forming H beta and its difference from T is of the same size.
+
+    So |R[l, l]| - C * u * kappa_eff * ||T|| bounds the rounded residual from
+    below. The singular values come from R[:l, :l], which has those of H up
+    to the same u ||H||. The worst-case constants of these bounds grow like
+    n * l and are far from sharp; C = BOUND_SAFETY = 100 is a margin over the
+    observed errors: at most 0.1 * u * kappa_eff * ||T|| over the hidden-layer
+    stacks of tests/test_elm.py, and at most 0.03 over every whale of
+    30 x 40 WOA-ELM fits on 13 and 2 inputs, sigmoid and tanh.
+
+    A caller in RMSE units multiplies by span / sqrt(n), where
+    span = target_max - target_min. Unscaling the predictions
+    (y * span + target_min) and taking the RMSE add an absolute error of
+    about u * max|y| and a relative one of a few u; pipeline.woa_elm_train
+    subtracts both, scaled by C.
+
+    With n <= l rows there is no R[l, l]: the bound is -inf, which decides
+    nothing. A NaN bound (non-finite input) must be read as "evaluate".
+    """
+    H = np.asarray(H, dtype=float)
+    T = np.asarray(T, dtype=float).reshape(-1)
+    pop, n, l = H.shape
+    if n <= l:
+        return np.full(pop, -np.inf)
+    aug = np.concatenate([H, np.broadcast_to(T[None, :, None], (pop, n, 1))], axis=2)
+    R = np.linalg.qr(aug, mode="r")
+    s = np.linalg.svd(R[:, :l, :l], compute_uv=False)
+    with np.errstate(invalid="ignore"):  # sigma_1 = 0 gives NaN: evaluate
+        kappa = s[:, 0] / np.maximum(s[:, -1], SVD_CUTOFF * s[:, 0])
+    return np.abs(R[:, l, l]) - BOUND_SAFETY * UNIT_ROUNDOFF * kappa * np.linalg.norm(T)
 
 
 def elm_fit(X: np.ndarray, y: np.ndarray, hidden_l: int = 40,

@@ -2,8 +2,13 @@
 
 The optimizer searches directly over the flattened (omega, bias) vector of
 the ELM within [-1, 1] bounds; candidate fitness is the training RMSE of the
-ELM obtained by re-solving the output weights at that position. The winning
-position is retrained on the full training set.
+ELM obtained by re-solving the output weights at that position. Each
+iteration first bounds every whale's training RMSE from below with one
+batched QR of the population's hidden layers (elm.residual_lower_bounds),
+and the exact SVD fitness runs only for whales whose bound is below the best
+so far; the others could not have changed the result. The holdout fitness is
+taken on other rows and gets no bound. The winning position is retrained on
+the full training set.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ import numpy as np
 
 from .correlation import pearson
 from .data import split_rows
-from .elm import ACTIVATIONS, ElmModel, elm_fit_with_weights, elm_predict, fit_normalization, elm_hidden, elm_solve_beta
+from .elm import (ACTIVATIONS, BOUND_SAFETY, UNIT_ROUNDOFF, ElmModel, elm_fit_with_weights,
+                  elm_hidden, elm_predict, elm_solve_beta, fit_normalization,
+                  residual_lower_bounds)
 from .features import FEATURE_UNITS, FeatureMatrix
 from .fusion import TsneParams, embed_new_points, scale_feature_groups, tsne_embed
 from .rng import derive_seed
@@ -106,6 +113,17 @@ def woa_elm_train(X: np.ndarray, y: np.ndarray,
         pred = norm.unscale_y((H_val @ beta)[:, 0])
         return rmse(pred, val_y)
 
+    # Residual norm -> RMSE: scale by span / sqrt(n), then allow for the
+    # rounding of the unscaling and the RMSE (see residual_lower_bounds).
+    to_rmse = span / math.sqrt(len(fit_ys)) * (1.0 - BOUND_SAFETY * UNIT_ROUNDOFF)
+    rmse_slack = BOUND_SAFETY * UNIT_ROUNDOFF * max(abs(norm.target_min), abs(norm.target_max))
+    n_omega = cfg.hidden_l * n_inputs
+
+    def fitness_floor(positions: np.ndarray) -> np.ndarray:
+        omegas = positions[:, :n_omega].reshape(len(positions), cfg.hidden_l, n_inputs)
+        H = elm_hidden(fit_Xs, omegas, positions[:, n_omega:], cfg.activation)
+        return residual_lower_bounds(H, fit_ys) * to_rmse - rmse_slack
+
     woa_cfg = WoaConfig(
         dim=dim,
         bounds=uniform_bounds(dim, -1.0, 1.0),
@@ -114,7 +132,9 @@ def woa_elm_train(X: np.ndarray, y: np.ndarray,
         spiral_b=cfg.spiral_b,
         seed=derive_seed(cfg.seed, "woa"),
     )
-    result = woa_optimize(fitness, woa_cfg)
+    # The bound is on the training residual, so the holdout fitness gets none.
+    floor = fitness_floor if cfg.fitness_holdout is None else None
+    result = woa_optimize(fitness, woa_cfg, lower_bound=floor)
     omega, bias = decode_position(result.best_position, n_inputs, cfg.hidden_l)
     model = elm_fit_with_weights(X, y, omega, bias, cfg.activation, seed=cfg.seed)
     return model, result

@@ -4,7 +4,8 @@ Population metaheuristic with three position updates per agent: shrinking
 encirclement of the best solution, a logarithmic spiral around it, and a
 random-agent search step for exploration. Each whale draws its randomness
 from a stream keyed by (seed, whale, iteration), so evaluation order cannot
-change the result.
+change the result. An optional lower bound on the cost lets the optimizer
+skip evaluating whales that cannot beat the best, with the same result.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _evaluate(f, x: np.ndarray) -> float:
     return cost
 
 
-def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
+def woa_optimize(f, cfg: WoaConfig, lower_bound=None) -> WoaResult:
     """Minimize f over the configured box; deterministic for a fixed seed.
 
     Per iteration each whale draws p ~ U[0,1]: with p < 0.5 it encircles the
@@ -97,6 +98,13 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
     agent; with p >= 0.5 it spirals toward the best. The new positions are
     clipped to the box once per iteration. The best-so-far agent is never
     discarded, so the cost history is non-increasing.
+
+    lower_bound, if given, maps the (pop, dim) positions of an iteration to
+    one value per whale that f(x) is never below; NaN means unknown. A whale
+    is evaluated only if its bound is below the running best: a cost is read
+    only to ask whether it sets a new best, so skipping the others leaves
+    history, best_cost and best_position bit-identical. The initial
+    population is always evaluated in full.
     """
     cfg.validate()
     lo = np.array([b[0] for b in cfg.bounds])
@@ -139,10 +147,13 @@ def woa_optimize(f, cfg: WoaConfig) -> WoaResult:
             else:
                 new_positions[i] = spiral_step(positions[i], best_pos, cfg.spiral_b, spiral_l)
         positions = np.clip(new_positions, lo, hi, out=new_positions)
-        costs = np.array([_evaluate(f, x) for x in positions])
+        floors = np.full(pop, np.nan) if lower_bound is None else lower_bound(positions)
         for i in range(pop):
-            if costs[i] < best_cost:
-                best_cost = float(costs[i])
+            if floors[i] >= best_cost:
+                continue
+            cost = _evaluate(f, positions[i])
+            if cost < best_cost:
+                best_cost = cost
                 best_pos = positions[i].copy()
         history.append(best_cost)
     return WoaResult(best_position=best_pos, best_cost=best_cost, history=history)

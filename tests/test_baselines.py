@@ -77,6 +77,30 @@ def test_forest_bootstrap_rows_match_scalar_below_draws():
     assert np.array_equal(forest.predict(X), total / 4)
 
 
+def _scalar_candidate_features(tree):
+    """The one Rng.below call per sampled feature that one uniforms(k) draw replaced."""
+    pool = list(range(tree._n_features))
+    chosen = [pool.pop(tree._rng.below(len(pool))) for _ in range(tree.features_per_split)]
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("m,k", [(13, 4), (13, 12), (5, 1), (4, 2)])
+def test_candidate_features_match_scalar_below_draws(m, k):
+    fast, slow = (bl.RegressionTree(features_per_split=k, seed=7 * m + k) for _ in range(2))
+    for tree in (fast, slow):
+        tree._rng, tree._n_features = Rng(tree.seed), m
+    for _ in range(300):
+        assert fast._candidate_features() == _scalar_candidate_features(slow)
+
+
+def test_forest_with_one_feature_draw_predicts_as_with_scalar_draws(monkeypatch):
+    X, y = toy_regression(80)
+    fast = bl.RandomForest(n_trees=6, features_per_split=2, seed=3).fit(X, y)
+    monkeypatch.setattr(bl.RegressionTree, "_candidate_features", _scalar_candidate_features)
+    slow = bl.RandomForest(n_trees=6, features_per_split=2, seed=3).fit(X, y)
+    assert np.array_equal(fast.predict(X), slow.predict(X))
+
+
 def test_forest_deterministic_per_seed():
     X, y = toy_regression(50)
     a = bl.RandomForest(n_trees=10, seed=4).fit(X, y).predict(X)

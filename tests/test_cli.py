@@ -1,6 +1,7 @@
 import json
 import shlex
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,10 @@ def inputs(tmp_path_factory):
     (d / "scalar.json").write_text("5")
     (d / "dict_vector.json").write_text('{"features": {}}')
     (d / "short_vector.json").write_text("[0.5]")
+    n = len(features.FEATURE_NAMES)
+    (d / "str_vector.json").write_text(json.dumps(["0.5"] * n))
+    (d / "bool_vector.json").write_text(json.dumps([True] * n))
+    (d / "huge_vector.json").write_text(json.dumps([1e308] * n))
     (d / "empty.csv").write_text("")
     (d / "deep.json").write_text("[" * 200_000)
     # A valid model file of every kind, named after the kind.
@@ -244,7 +249,6 @@ def inputs(tmp_path_factory):
         (d / name).write_text(json.dumps(obj))
     (d / "knn_fusion_int.json").write_text(json.dumps({**load_json(d / "knn.json"), "fusion": 3}))
     # A knn model behind an identity "embedding": a valid fused model.
-    n = len(features.FEATURE_NAMES)
     dump_json({**load_json(d / "knn.json"),
                "fusion": modelio.fusion_section(np.zeros(n), np.ones(n), matrix.X, matrix.X)},
               d / "knn_fused.json")
@@ -326,6 +330,8 @@ MALFORMED = [
     (["predict", "--model", "@model.json", "--input", "@scalar.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@dict_vector.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@short_vector.json"], 4),
+    (["predict", "--model", "@model.json", "--input", "@str_vector.json"], 4),
+    (["predict", "--model", "@model.json", "--input", "@bool_vector.json"], 4),
     (["correlate", "--features", "@empty.csv", "--out", "@out.json"], 4),
     (["fuse", "--features", "@empty.csv", "--out", "@out.json"], 4),
     (["train", "--features", "@empty.csv", "--model-out", "@out.json"], 4),
@@ -404,6 +410,19 @@ def test_predict_names_the_file_of_non_finite_features(inputs, model, capsys):
                                      "--input", f"@{vector}"])) == 4
         err = capsys.readouterr().err
         assert err.startswith("ERROR 4:") and vector in err and "finite" in err
+
+
+@pytest.mark.parametrize("model", ["model.json", "knn_fused.json"])
+def test_predict_names_the_file_of_features_its_normalization_overflows(inputs, model, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_expand(inputs, ["predict", "--model", f"@{model}",
+                                     "--input", "@huge_vector.json"]))
+    err = capsys.readouterr().err
+    assert code == 4 and err.count("\n") == 1
+    assert err.startswith("ERROR 4:") and "huge_vector.json" in err
+    assert "outside what the model's normalization can represent" in err
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("name", MISSHAPEN_MODELS)

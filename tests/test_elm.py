@@ -192,3 +192,51 @@ def test_tanh_activation_supported():
     assert np.all(np.isfinite(elm.elm_predict(model, X)))
     with pytest.raises(ValueError, match="activation"):
         elm.elm_fit(X, y, hidden_l=5, activation="relu", seed=3)
+
+
+def _hidden_stack(n, k, seed, scale=1.0, activation="sigmoid", corner=False, pop=30, l=40):
+    """Population of hidden layers (pop, n, l) and a [0, 1]-scaled target."""
+    rng = Rng(seed)
+    X = rng.normals(n * k).reshape(n, k)
+    weights = rng.uniforms(pop * l * (k + 1), -1.0, 1.0).reshape(pop, l, k + 1)
+    if corner:  # whales clipped onto one corner of the box: identical nodes
+        weights[:, l // 2:] = np.sign(weights[:, :1])
+    omegas, biases = scale * weights[:, :, :k], scale * weights[:, None, :, k]
+    H = elm.ACTIVATIONS[activation](X @ omegas.transpose(0, 2, 1) + biases)
+    y = np.sin(X[:, 0]) + 0.1 * rng.normals(n)
+    return H, (y - y.min()) / (y.max() - y.min())
+
+
+def _solved_residuals(H, T):
+    return np.array([np.linalg.norm(Hk @ elm.elm_solve_beta(Hk, T)[:, 0] - T) for Hk in H])
+
+
+@pytest.mark.parametrize("case", [
+    dict(k=1), dict(k=2), dict(k=13),
+    dict(k=2, scale=30.0),                 # saturated sigmoids: many columns 0 or 1
+    dict(k=13, scale=30.0),
+    dict(k=2, corner=True),                # exactly duplicated columns: singular H
+    dict(k=13, corner=True),
+    dict(k=2, activation="tanh"), dict(k=13, activation="tanh"),
+])
+def test_residual_lower_bounds_never_exceed_the_solved_residual(case):
+    """The bound stays below the rounded residual of elm_solve_beta.
+
+    Over these stacks (three seeds each), the largest observed
+    (|R[l, l]| - residual) / (u * kappa_eff * ||T||) was 0.096 (tanh at 13
+    inputs; 0.043 for saturated sigmoids, 0.010 for plain ones), against the
+    allowance's BOUND_SAFETY = 100.
+    """
+    for seed in range(3):
+        H, T = _hidden_stack(140, seed=seed, **case)
+        bounds = elm.residual_lower_bounds(H, T)
+        exact = _solved_residuals(H, T)
+        assert bounds.shape == (len(H),) and np.all(np.isfinite(bounds))
+        assert np.all(bounds <= exact)
+        assert np.any(bounds > 0.5 * exact)  # and it is not vacuous
+
+
+def test_residual_lower_bounds_decide_nothing_with_rows_at_most_l():
+    for n in (30, 40):
+        H, T = _hidden_stack(n, 3, seed=1, pop=4)
+        assert np.all(elm.residual_lower_bounds(H, T) == -np.inf)

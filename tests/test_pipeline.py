@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batcap import elm, pipeline
-from batcap.rng import Rng
+from batcap import data, elm, features, fusion, pipeline
+from batcap.rng import Rng, derive_seed
 
 
 def test_position_round_trip():
@@ -180,6 +180,69 @@ def test_woa_elm_fitness_holdout_mode_runs():
     model, result = pipeline.woa_elm_train(X, y, cfg)
     assert np.all(np.isfinite(elm.elm_predict(model, X)))
     assert len(result.history) == 10
+
+
+def _train_with_and_without_floor(X, y, cfg, monkeypatch):
+    floors = []
+    optimize = pipeline.woa_optimize
+
+    def recording(f, woa_cfg, lower_bound=None):
+        floors.append(lower_bound)
+        return optimize(f, woa_cfg, lower_bound=lower_bound)
+
+    monkeypatch.setattr(pipeline, "woa_optimize", recording)
+    screened = pipeline.woa_elm_train(X, y, cfg)
+    monkeypatch.setattr(pipeline, "woa_optimize", lambda f, woa_cfg, lower_bound=None: optimize(f, woa_cfg))
+    plain = pipeline.woa_elm_train(X, y, cfg)
+    monkeypatch.setattr(pipeline, "woa_optimize", optimize)
+    return screened, plain, floors[0]
+
+
+def _assert_same_fit(screened, plain):
+    (model_s, result_s), (model_p, result_p) = screened, plain
+    assert result_s.history == result_p.history
+    assert result_s.best_cost == result_p.best_cost
+    assert np.array_equal(result_s.best_position, result_p.best_position)
+    assert np.array_equal(model_s.beta, model_p.beta)
+
+
+@pytest.fixture(scope="module")
+def fit_split(synth_matrix):
+    """The 140 training rows of the CLI's split, on 13 features and fused to 2."""
+    split = data.split_rows(len(synth_matrix.y), 0.7, derive_seed(1, "split"))
+    X, y = synth_matrix.X[list(split.train)], synth_matrix.y[list(split.train)]
+    scaled, _, _ = fusion.scale_feature_groups(X, features.FEATURE_UNITS)
+    fused = fusion.tsne_embed(scaled, pipeline.FUSED_DIM, fusion.TsneParams(seed=1)).Y
+    return X, fused, y
+
+
+@pytest.mark.parametrize("inputs", ["full", "fused"])
+def test_fitness_floor_leaves_woa_elm_bit_identical(fit_split, inputs, monkeypatch):
+    X, fused, y = fit_split
+    for seed in (1, 2, 3):
+        cfg = pipeline.TrainConfig(seed=seed, woa_iters=40)
+        screened, plain, floor = _train_with_and_without_floor(
+            X if inputs == "full" else fused, y, cfg, monkeypatch)
+        assert floor is not None
+        _assert_same_fit(screened, plain)
+
+
+def test_fitness_floor_leaves_singular_hidden_layers_bit_identical(fit_split, monkeypatch):
+    # 20 distinct rows, each seen 7 times: every hidden layer has rank <= 20 < l.
+    X, _, y = fit_split
+    rows = [i % 20 for i in range(140)]
+    for seed in (4, 5, 6):
+        cfg = pipeline.TrainConfig(seed=seed, woa_iters=40)
+        screened, plain, _ = _train_with_and_without_floor(X[rows], y[rows], cfg, monkeypatch)
+        _assert_same_fit(screened, plain)
+
+
+def test_fitness_holdout_gets_no_floor(monkeypatch):
+    X, y = _realizable_problem(n=40, hidden=10, seed=52)
+    cfg = pipeline.TrainConfig(hidden_l=10, seed=4, woa_iters=10, woa_pop=6, fitness_holdout=0.25)
+    screened, plain, floor = _train_with_and_without_floor(X, y, cfg, monkeypatch)
+    assert floor is None
+    _assert_same_fit(screened, plain)
 
 
 def test_fused_comparison_report_shape(synth_matrix):

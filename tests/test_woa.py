@@ -145,6 +145,28 @@ def test_optimize_deterministic():
     assert a.history != c.history
 
 
+def test_lower_bound_skips_whales_without_changing_the_result():
+    cfg = small_config(t_max=40, seed=4)
+    plain = woa.woa_optimize(sphere, cfg)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return sphere(x)
+
+    def floor(positions):
+        # The tightest valid bound, with every third whale unknown (NaN).
+        values = np.array([sphere(x) for x in positions])
+        values[::3] = np.nan
+        return values
+
+    screened = woa.woa_optimize(counted, cfg, lower_bound=floor)
+    assert screened.history == plain.history
+    assert screened.best_cost == plain.best_cost
+    assert np.array_equal(screened.best_position, plain.best_position)
+    assert cfg.pop_size <= len(calls) < cfg.pop_size * (cfg.t_max + 1)
+
+
 def test_optimize_respects_bounds_on_every_evaluation():
     seen = []
 
