@@ -21,8 +21,12 @@ def pearson(x, y) -> float:
         raise ValueError("series must be 1-D and equally long")
     if len(x) < 2:
         raise ValueError("need at least 2 points")
+    # Corrected two-pass centring: the rounded mean leaves a common offset in
+    # every deviation, which matters when the spread is tiny against the level.
     dx = x - x.mean()
+    dx -= dx.mean()
     dy = y - y.mean()
+    dy -= dy.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
     sy = float(np.sqrt(np.sum(dy * dy)))
     if sx == 0.0 or sy == 0.0:
