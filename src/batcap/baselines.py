@@ -45,7 +45,8 @@ class KnnRegressor:
         for i, z in enumerate(Z):
             d2 = np.sum((self._X - z) ** 2, axis=1)
             nearest = np.argsort(d2, kind="stable")[: self.k]
-            out[i] = self._y[nearest].mean()
+            # Distances that overflowed rank no neighbour: no prediction.
+            out[i] = self._y[nearest].mean() if np.all(np.isfinite(d2)) else np.nan
         return out
 
 

@@ -123,7 +123,7 @@ def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDatas
 
 
 # JSON type of each config field type: booleans count as neither kind of number.
-_JSON_TYPES = {int: "integer", float: "number", float | None: ["number", "null"], str: "string"}
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
 
 
 def _config(cls, path: str | None, **fixed):
@@ -139,7 +139,7 @@ def _config(cls, path: str | None, **fixed):
         raise CliError(4, f"{path}: unknown config key {unknown[0]!r}")
     schema = {"properties": {name: {"type": _JSON_TYPES[t]} for name, t in types.items()}}
     validate_schema(obj, schema, f"{path}: $")
-    values = {k: v if v is None or types[k] in (int, str) else float(v) for k, v in obj.items()}
+    values = {k: v if types[k] in (int, str) else float(v) for k, v in obj.items()}
     cfg = cls(**{**values, **fixed})
     cfg.validate()
     return cfg

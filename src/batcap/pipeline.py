@@ -6,9 +6,8 @@ ELM obtained by re-solving the output weights at that position. Each
 iteration first bounds every whale's training RMSE from below with one
 batched QR of the population's hidden layers (elm.residual_lower_bounds),
 and the exact SVD fitness runs only for whales whose bound is below the best
-so far; the others could not have changed the result. The holdout fitness is
-taken on other rows and gets no bound. The winning position is retrained on
-the full training set.
+so far; the others could not have changed the result. The winning position
+is retrained on the full training set.
 """
 
 from __future__ import annotations
@@ -41,17 +40,12 @@ class TrainConfig:
     woa_pop: int = 30
     woa_iters: int = 500
     spiral_b: float = 1.0
-    # None = fitness is training RMSE; a fraction in (0, 1) holds out that
-    # share of the training rows for fitness evaluation instead.
-    fitness_holdout: float | None = None
 
     def validate(self) -> None:
         if self.hidden_l < 1:
             raise ValueError("hidden_l must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError("split_ratio must lie in (0, 1)")
-        if self.fitness_holdout is not None and not 0.0 < self.fitness_holdout < 1.0:
-            raise ValueError("fitness_holdout must lie in (0, 1)")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.woa_pop < 2:
@@ -60,21 +54,16 @@ class TrainConfig:
             raise ValueError("woa_iters must be >= 1")
 
 
-def encode_position(omega: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Flatten (omega, bias) row-major into one search vector."""
-    return np.concatenate([np.asarray(omega, dtype=float).ravel(),
-                           np.asarray(bias, dtype=float).ravel()])
-
-
 def decode_position(vector: np.ndarray, n_inputs: int,
                     hidden_l: int) -> tuple[np.ndarray, np.ndarray]:
-    vector = np.asarray(vector, dtype=float).ravel()
-    expected = hidden_l * n_inputs + hidden_l
-    if len(vector) != expected:
-        raise ValueError(f"position length {len(vector)} != {expected}")
-    omega = vector[: hidden_l * n_inputs].reshape(hidden_l, n_inputs)
-    bias = vector[hidden_l * n_inputs:]
-    return omega, bias
+    """Split search vectors (..., dim), omega row-major then bias, into
+    omega (..., hidden_l, n_inputs) and bias (..., hidden_l)."""
+    vector = np.atleast_1d(np.asarray(vector, dtype=float))
+    n_omega = hidden_l * n_inputs
+    if vector.shape[-1] != n_omega + hidden_l:
+        raise ValueError(f"position length {vector.shape[-1]} != {n_omega + hidden_l}")
+    omega = vector[..., :n_omega].reshape(*vector.shape[:-1], hidden_l, n_inputs)
+    return omega, vector[..., n_omega:]
 
 
 def woa_elm_train(X: np.ndarray, y: np.ndarray,
@@ -90,39 +79,26 @@ def woa_elm_train(X: np.ndarray, y: np.ndarray,
     n_inputs = X.shape[1]
     dim = cfg.hidden_l * n_inputs + cfg.hidden_l
 
-    if cfg.fitness_holdout is None:
-        fit_X, fit_y = X, y
-        val_X, val_y = X, y
-    else:
-        inner = split_rows(len(X), 1.0 - cfg.fitness_holdout,
-                           derive_seed(cfg.seed, "fitness-holdout"))
-        fit_X, fit_y = X[list(inner.train)], y[list(inner.train)]
-        val_X, val_y = X[list(inner.test)], y[list(inner.test)]
-
-    norm = fit_normalization(fit_X, fit_y)
-    fit_Xs = norm.transform_x(fit_X)
-    fit_ys = norm.scale_y(fit_y)
-    val_Xs = norm.transform_x(val_X)
+    norm = fit_normalization(X, y)
+    Xs = norm.transform_x(X)
+    ys = norm.scale_y(y)
     span = norm.target_max - norm.target_min
 
     def fitness(position: np.ndarray) -> float:
         omega, bias = decode_position(position, n_inputs, cfg.hidden_l)
-        H = elm_hidden(fit_Xs, omega, bias, cfg.activation)
-        beta = elm_solve_beta(H, fit_ys)
-        H_val = H if cfg.fitness_holdout is None else elm_hidden(val_Xs, omega, bias, cfg.activation)
-        pred = norm.unscale_y((H_val @ beta)[:, 0])
-        return rmse(pred, val_y)
+        H = elm_hidden(Xs, omega, bias, cfg.activation)
+        beta = elm_solve_beta(H, ys)
+        return rmse(norm.unscale_y((H @ beta)[:, 0]), y)
 
     # Residual norm -> RMSE: scale by span / sqrt(n), then allow for the
     # rounding of the unscaling and the RMSE (see residual_lower_bounds).
-    to_rmse = span / math.sqrt(len(fit_ys)) * (1.0 - BOUND_SAFETY * UNIT_ROUNDOFF)
+    to_rmse = span / math.sqrt(len(ys)) * (1.0 - BOUND_SAFETY * UNIT_ROUNDOFF)
     rmse_slack = BOUND_SAFETY * UNIT_ROUNDOFF * max(abs(norm.target_min), abs(norm.target_max))
-    n_omega = cfg.hidden_l * n_inputs
 
     def fitness_floor(positions: np.ndarray) -> np.ndarray:
-        omegas = positions[:, :n_omega].reshape(len(positions), cfg.hidden_l, n_inputs)
-        H = elm_hidden(fit_Xs, omegas, positions[:, n_omega:], cfg.activation)
-        return residual_lower_bounds(H, fit_ys) * to_rmse - rmse_slack
+        omegas, biases = decode_position(positions, n_inputs, cfg.hidden_l)
+        H = elm_hidden(Xs, omegas, biases, cfg.activation)
+        return residual_lower_bounds(H, ys) * to_rmse - rmse_slack
 
     woa_cfg = WoaConfig(
         dim=dim,
@@ -132,9 +108,7 @@ def woa_elm_train(X: np.ndarray, y: np.ndarray,
         spiral_b=cfg.spiral_b,
         seed=derive_seed(cfg.seed, "woa"),
     )
-    # The bound is on the training residual, so the holdout fitness gets none.
-    floor = fitness_floor if cfg.fitness_holdout is None else None
-    result = woa_optimize(fitness, woa_cfg, lower_bound=floor)
+    result = woa_optimize(fitness, woa_cfg, lower_bound=fitness_floor)
     omega, bias = decode_position(result.best_position, n_inputs, cfg.hidden_l)
     model = elm_fit_with_weights(X, y, omega, bias, cfg.activation, seed=cfg.seed)
     return model, result

@@ -2,10 +2,11 @@
 
 Population metaheuristic with three position updates per agent: shrinking
 encirclement of the best solution, a logarithmic spiral around it, and a
-random-agent search step for exploration. Each whale draws its randomness
-from a stream keyed by (seed, whale, iteration), so evaluation order cannot
-change the result. An optional lower bound on the cost lets the optimizer
-skip evaluating whales that cannot beat the best, with the same result.
+random-agent search step for exploration. Each iteration moves the whole
+population with one array update. Each whale draws its randomness from a
+stream keyed by (seed, whale, iteration), so evaluation order cannot change
+the result. An optional lower bound on the cost lets the optimizer skip
+evaluating whales that cannot beat the best, with the same result.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def random_search_step(x: np.ndarray, x_rand: np.ndarray, A: np.ndarray,
     return x_rand - A * d
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of A, bit-equal to np.linalg.norm(A[i]).
+
+    Each row is summed as one BLAS dot, as np.linalg.norm sums a vector;
+    norm(axis=1) or einsum round differently and could flip the ||A|| < 1 gate.
+    """
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+
+
 def _evaluate(f, x: np.ndarray) -> float:
     cost = float(f(x))
     if not np.isfinite(cost):
@@ -110,17 +120,15 @@ def woa_optimize(f, cfg: WoaConfig, lower_bound=None) -> WoaResult:
     lo = np.array([b[0] for b in cfg.bounds])
     hi = np.array([b[1] for b in cfg.bounds])
 
+    pop, dim = cfg.pop_size, cfg.dim
     init_rng = Rng(derive_seed(cfg.seed, "init"))
-    positions = np.empty((cfg.pop_size, cfg.dim))
-    for i in range(cfg.pop_size):
-        positions[i] = lo + init_rng.uniforms(cfg.dim) * (hi - lo)
+    positions = lo + init_rng.uniforms(pop * dim).reshape(pop, dim) * (hi - lo)
     costs = np.array([_evaluate(f, x) for x in positions])
     best_idx = int(np.argmin(costs))
     best_pos = positions[best_idx].copy()
     best_cost = float(costs[best_idx])
 
     history: list[float] = []
-    pop, dim = cfg.pop_size, cfg.dim
     for t in range(cfg.t_max):
         if t % BLOCK == 0:
             # A whale's stream depends only on (seed, whale, iteration), so a
@@ -130,22 +138,18 @@ def woa_optimize(f, cfg: WoaConfig, lower_bound=None) -> WoaResult:
                 [derive_seed(cfg.seed, "whale", i, "iter", k) for k in block for i in range(pop)],
                 2 * dim + 3,
             ).reshape(len(block), pop, 2 * dim + 3)
-        new_positions = np.empty_like(positions)
-        for i in range(pop):
-            u = draws[t % BLOCK, i]
-            # Same values, in the same stream order, as Rng.uniforms(dim) twice,
-            # uniform(), uniform(-1, 1) and below(pop).
-            r1, r2, p = u[:dim], u[dim:2 * dim], u[2 * dim]
-            spiral_l = -1.0 + u[2 * dim + 1] * 2.0
-            rand_idx = min(int(u[2 * dim + 2] * pop), pop - 1)
-            A, C = update_coefficients(t, cfg.t_max, r1, r2)
-            if p < 0.5:
-                if float(np.linalg.norm(A)) < 1.0:
-                    new_positions[i] = encircle_step(positions[i], best_pos, A, C)
-                else:
-                    new_positions[i] = random_search_step(positions[i], positions[rand_idx], A, C)
-            else:
-                new_positions[i] = spiral_step(positions[i], best_pos, cfg.spiral_b, spiral_l)
+        # Row i holds the same values, in the same stream order, as whale i's
+        # Rng.uniforms(dim) twice, uniform(), uniform(-1, 1) and below(pop).
+        u = draws[t % BLOCK]
+        r1, r2, p = u[:, :dim], u[:, dim:2 * dim], u[:, 2 * dim]
+        spiral_l = -1.0 + u[:, 2 * dim + 1:2 * dim + 2] * 2.0
+        rand_idx = np.minimum((u[:, -1] * pop).astype(np.intp), pop - 1)
+        A, C = update_coefficients(t, cfg.t_max, r1, r2)
+        new_positions = np.where(
+            (p < 0.5)[:, None],
+            np.where((_row_norms(A) < 1.0)[:, None], encircle_step(positions, best_pos, A, C),
+                     random_search_step(positions, positions[rand_idx], A, C)),
+            spiral_step(positions, best_pos, cfg.spiral_b, spiral_l))
         positions = np.clip(new_positions, lo, hi, out=new_positions)
         floors = np.full(pop, np.nan) if lower_bound is None else lower_bound(positions)
         for i in range(pop):

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import typing
 import warnings
@@ -287,7 +288,7 @@ BAD_FILES = {
     "cfg_null.json": {"hidden_l": None},
     "cfg_typo.json": {"woa_iter": 3},
     "cfg_bool.json": {"hidden_l": True},
-    "cfg_str.json": {"fitness_holdout": "0.25"},
+    "cfg_str.json": {"spiral_b": "1.0"},
     "cfg_relu.json": {"activation": "relu"},
     "cfg_one_whale.json": {"woa_pop": 1, "hidden_l": 4},
     "cfg_no_iters.json": {"woa_iters": 0},
@@ -373,6 +374,8 @@ MALFORMED = [
     # NaN, Infinity and -Infinity among the features, on a plain and a fused model
     *[(["predict", "--model", f"@{model}", "--input", f"@{vector}"], 4)
       for model in ("model.json", "knn_fused.json") for vector in NON_FINITE_VECTORS],
+    # finite features whose distances to every training row overflow
+    (["predict", "--model", "@knn.json", "--input", "@huge_vector.json"], 4),
 ]
 
 
@@ -536,6 +539,15 @@ def test_shap_background_is_the_train_split_mean(inputs, capsys):
     all_rows = attribution.shapley_exact(predict, matrix.X[0], matrix.X.mean(axis=0)).phi
     assert phi == pytest.approx(expected, rel=1e-10, abs=1e-12)
     assert not np.allclose(phi, all_rows, rtol=1e-6)
+
+
+@pytest.mark.parametrize("name,cls", [("synth.json", data.SynthConfig),
+                                      ("train.json", pipeline.TrainConfig)])
+def test_readme_config_keys_are_the_config_fields(name, cls):
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    match = re.search(rf"`{re.escape(name)}` accepts `([^`]*)`(?:, and a `(\w+)` key)?", readme)
+    listed = [key.strip() for key in match.group(1).split(",")] + [k for k in match.groups()[1:] if k]
+    assert sorted(listed) == sorted(typing.get_type_hints(cls))
 
 
 def test_readme_cli_examples_parse():

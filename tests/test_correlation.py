@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batcap import correlation as corr
 from batcap.features import FeatureMatrix
@@ -36,6 +36,11 @@ def test_pearson_rejects_mismatched_lengths():
 
 
 @given(finite_series, finite_series)
+@example(xs=[0.0, 1.59e-18, 1e-09], ys=[0.0, 1.0, 0.0])  # the shift rounds 1.59e-18 away
+# A spread of a few ulps: shifting and shifting back restores x exactly, yet
+# the shifted spread is off by far more than abs=1e-9 absorbs.
+@example(xs=[669976.4079168112, 669976.407916828, 669976.407916801],
+         ys=[-236370.44006752234, -348908.7677985912, 988053.5424199686])
 @settings(max_examples=80, deadline=None)
 def test_pearson_symmetry_and_affine_covariance(xs, ys):
     n = min(len(xs), len(ys))
@@ -50,7 +55,9 @@ def test_pearson_symmetry_and_affine_covariance(xs, ys):
     assert -1.0 <= r <= 1.0
     assert corr.pearson(y, x) == pytest.approx(r, abs=1e-12)
     shifted = 2.5 * x + 3.0
-    if np.all(shifted == shifted[0]):  # spread underflowed in the shift
+    # The shifts round each value by up to one spacing of the largest shifted
+    # value; skip series whose spread that could move by more than abs=1e-9 absorbs.
+    if np.spacing(2.5 * np.max(np.abs(x)) + 3.0) > 1e-10 * 2.5 * np.ptp(x):
         return
     assert corr.pearson(shifted, y) == pytest.approx(r, abs=1e-9)
     assert corr.pearson(-2.5 * x + 3.0, y) == pytest.approx(-r, abs=1e-9)

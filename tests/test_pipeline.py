@@ -13,16 +13,25 @@ def test_position_round_trip():
     rng = Rng(40)
     omega = rng.normals(12).reshape(4, 3)
     bias = rng.normals(4)
-    vec = pipeline.encode_position(omega, bias)
-    assert len(vec) == 16
+    vec = np.concatenate([omega.ravel(), bias])
     om2, b2 = pipeline.decode_position(vec, 3, 4)
     assert np.array_equal(om2, omega)
     assert np.array_equal(b2, bias)
 
 
 def test_position_length_arithmetic():
-    vec = pipeline.encode_position(np.zeros((3, 2)), np.zeros(3))
-    assert len(vec) == 9
+    omega, bias = pipeline.decode_position(np.zeros(9), 2, 3)
+    assert omega.shape == (3, 2) and bias.shape == (3,)
+
+
+def test_decode_splits_a_stack_of_positions_row_by_row():
+    stack = Rng(41).normals(5 * 2 * 9).reshape(5, 2, 9)
+    omegas, biases = pipeline.decode_position(stack, 2, 3)
+    assert omegas.shape == (5, 2, 3, 2) and biases.shape == (5, 2, 3)
+    for i, j in np.ndindex(5, 2):
+        omega, bias = pipeline.decode_position(stack[i, j], 2, 3)
+        assert np.array_equal(omegas[i, j], omega)
+        assert np.array_equal(biases[i, j], bias)
 
 
 def test_decode_rejects_wrong_length():
@@ -173,15 +182,6 @@ def test_woa_elm_beats_plain_elm_on_train_fitness(synth_matrix):
     assert np.median(diffs) <= 0.0
 
 
-def test_woa_elm_fitness_holdout_mode_runs():
-    X, y = _realizable_problem(n=40, hidden=10, seed=52)
-    cfg = pipeline.TrainConfig(hidden_l=10, seed=4, woa_iters=10, woa_pop=6,
-                               fitness_holdout=0.25)
-    model, result = pipeline.woa_elm_train(X, y, cfg)
-    assert np.all(np.isfinite(elm.elm_predict(model, X)))
-    assert len(result.history) == 10
-
-
 def _train_with_and_without_floor(X, y, cfg, monkeypatch):
     floors = []
     optimize = pipeline.woa_optimize
@@ -235,14 +235,6 @@ def test_fitness_floor_leaves_singular_hidden_layers_bit_identical(fit_split, mo
         cfg = pipeline.TrainConfig(seed=seed, woa_iters=40)
         screened, plain, _ = _train_with_and_without_floor(X[rows], y[rows], cfg, monkeypatch)
         _assert_same_fit(screened, plain)
-
-
-def test_fitness_holdout_gets_no_floor(monkeypatch):
-    X, y = _realizable_problem(n=40, hidden=10, seed=52)
-    cfg = pipeline.TrainConfig(hidden_l=10, seed=4, woa_iters=10, woa_pop=6, fitness_holdout=0.25)
-    screened, plain, floor = _train_with_and_without_floor(X, y, cfg, monkeypatch)
-    assert floor is None
-    _assert_same_fit(screened, plain)
 
 
 def test_fused_comparison_report_shape(synth_matrix):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from batcap import woa
-from batcap.rng import Rng, derive_seed
+from batcap.rng import Rng, derive_seed, uniform_lanes
 
 
 def sphere(x):
@@ -242,17 +242,34 @@ def scalar_reference_woa(f, cfg):
     return best_pos, history
 
 
-@pytest.mark.parametrize("t_max", [1, 7, 8, 9, 17])
-def test_optimize_matches_scalar_reference(t_max):
-    # Off-centre box with per-dimension bounds, so the search step and the
-    # clipping both act and a bound mix-up would show.
-    bounds = tuple((-1.0 - 0.5 * k, 2.0 + k) for k in range(5))
+# Off-centre box with per-dimension bounds, so the search step and the
+# clipping both act and a bound mix-up would show.
+OFF_CENTRE = tuple((-1.0 - 0.5 * k, 2.0 + k) for k in range(5))
 
+
+@pytest.mark.parametrize("bounds,pop,t_max", [
+    *[pytest.param(OFF_CENTRE, 6, t_max, id=str(t_max)) for t_max in (1, 7, 8, 9, 17)],
+    # The WOA-ELM searches: 40 hidden nodes on 2 (fused) and 13 inputs. The
+    # encircle gate ||A|| < 1 first opens near t_max at these dimensions.
+    *[pytest.param(woa.uniform_bounds(dim, -1.0, 1.0), 30, 30, id=f"{dim}x30")
+      for dim in (120, 560)],
+])
+def test_optimize_matches_scalar_reference(bounds, pop, t_max):
     def shifted_sphere(x):
         return float(np.sum((x - 1.5) ** 2))
 
-    cfg = small_config(dim=5, bounds=bounds, pop_size=6, t_max=t_max, seed=4)
+    cfg = small_config(dim=len(bounds), bounds=bounds, pop_size=pop, t_max=t_max, seed=4)
     res = woa.woa_optimize(shifted_sphere, cfg)
     best_pos, history = scalar_reference_woa(shifted_sphere, cfg)
     assert np.array_equal(res.best_position, best_pos)
     assert np.array_equal(res.history, history)
+
+
+@pytest.mark.parametrize("dim", [5, 10, 120, 560])
+def test_gate_norms_equal_linalg_norm_per_row(dim):
+    # Any rounding difference could flip the gate of a whale whose ||A|| is near 1.
+    u = uniform_lanes(range(3000), dim)
+    A = (2.0 * u - 1.0) * math.sqrt(3.0 / dim)
+    expected = np.array([np.linalg.norm(row) for row in A])
+    norms = np.concatenate([woa._row_norms(block) for block in np.split(A, 100)])
+    assert np.array_equal(norms, expected)
