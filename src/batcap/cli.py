@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import typing
@@ -104,6 +103,30 @@ def _load_dataset(args) -> data.Dataset:
     records = data.parse_samples(samples_text)
     capacities = data.parse_capacity(capacity_text)
     return data.assemble_dataset(records, capacities, sid or "unknown", args.nominal)
+
+
+def _checked_predictor(model_obj: dict, source: str):
+    """The model's predictor, exiting 4 and naming ``source`` when its rows
+    overflow the model.
+
+    A finite row whose normalized values overflow shows up as an invalid
+    operation (inf - inf, 0 / 0) or as a non-finite prediction; overflow
+    itself is expected there and raises no numpy warning.
+    """
+    predict = modelio.make_predictor(model_obj)
+
+    def checked(X):
+        with np.errstate(over="ignore", invalid="raise"):
+            try:
+                out = predict(X)
+            except FloatingPointError:
+                out = None
+        if out is None or not np.all(np.isfinite(out)):
+            raise CliError(4, f"{source}: feature values are outside what the model's "
+                              "normalization can represent")
+        return out
+
+    return checked
 
 
 def _load_matrix(path: str) -> features.FeatureMatrix:
@@ -252,7 +275,7 @@ def cmd_evaluate(args) -> int:
     master = _master_seed(args)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     train_idx, test_idx = list(split.train), list(split.test)
-    predict = modelio.make_predictor(model_obj)
+    predict = _checked_predictor(model_obj, args.features)
     metrics_obj = pipeline.metrics_to_dict(
         model_obj["kind"],
         len(train_idx),
@@ -306,11 +329,13 @@ def cmd_shap(args) -> int:
     matrix = _load_matrix(args.features)
     model_obj = _load_object(modelio.load_model, args.model)
     master = _master_seed(args)
-    predict = modelio.make_predictor(model_obj)
+    predict = _checked_predictor(model_obj, args.features)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     rows = matrix.X if args.rows is None else matrix.X[: args.rows]
-    summary = attribution.shapley_summary(predict, rows, matrix.feature_names, args.background,
-                                          background_rows=matrix.X[list(split.train)])
+    with np.errstate(over="ignore"):  # an overflowing background mean fails in predict
+        summary = attribution.shapley_summary(predict, rows, matrix.feature_names,
+                                              args.background,
+                                              background_rows=matrix.X[list(split.train)])
     obj = attribution.summary_to_dict(summary)
     _write_artifact(obj, "shap", args.out)
     print(f"mean |phi| ranking: {', '.join(obj['ranking'][:3])}")
@@ -333,17 +358,7 @@ def cmd_predict(args) -> int:
         raise not_finite from None
     if not np.all(np.isfinite(x)):
         raise not_finite
-    predict = modelio.make_predictor(model_obj)
-    # A finite row whose normalized values overflow shows up as an invalid
-    # operation (inf - inf, 0 / 0) or as a non-finite prediction.
-    with np.errstate(over="ignore", invalid="raise"):
-        try:
-            value = float(predict(x[None, :])[0])
-        except FloatingPointError:
-            value = math.nan
-    if not math.isfinite(value):
-        raise CliError(4, f"{args.input}: feature values are outside what the model's "
-                          "normalization can represent")
+    value = float(_checked_predictor(model_obj, args.input)(x[None, :])[0])
     print(format_number(value))
     return 0
 

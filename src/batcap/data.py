@@ -4,15 +4,26 @@ A dataset is a list of constant-current charge cycles, each an ordered
 (time, voltage) series plus the measured discharge capacity for that cycle.
 The synthetic generator produces LFP-like curves whose voltage plateau
 shrinks as the cell fades, so capacity-driven features exist by construction.
+
+A whole-life cell has hundreds of thousands of samples, so ingest works on
+whole files as arrays. ``parse_samples`` splits the body into columns and
+converts each with one ``map``; any file that path does not take (a wrong
+column count, a bad token, mixed battery ids, a cycle split across the file)
+goes through the per-line loop, which raises the error messages, naming the
+line. ``synth_dataset`` draws every cycle's stream at once through RNG lanes
+(``rng.normal_lanes``) and computes the curves as arrays. Both give the same
+records, bit for bit, as one line or one sample at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 import numpy as np
 
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, normal_lanes
 
 SAMPLES_HEADER = "battery_id,cycle,time_s,voltage_v"
 CAPACITY_HEADER = "battery_id,cycle,discharge_capacity_mah"
@@ -37,7 +48,14 @@ class CycleRecord:
     voltages: tuple[float, ...]
     discharge_capacity: float | None = None
 
-    def validate(self) -> None:
+    def validate(self, samples: bool = True) -> None:
+        """Check the record; ``samples=False`` checks only the capacity."""
+        if samples:
+            self._validate_samples()
+        if self.discharge_capacity is not None and self.discharge_capacity <= 0:
+            raise ValueError(f"cycle {self.cycle_index}: non-positive capacity")
+
+    def _validate_samples(self) -> None:
         if self.cycle_index < 1:
             raise ValueError(f"cycle {self.cycle_index}: cycle index must be positive")
         n = len(self.times)
@@ -59,8 +77,6 @@ class CycleRecord:
                 f"cycle {self.cycle_index}: voltage drops more than "
                 f"{VOLTAGE_TOLERANCE_V * 1000:.0f} mV below its running maximum"
             )
-        if self.discharge_capacity is not None and self.discharge_capacity <= 0:
-            raise ValueError(f"cycle {self.cycle_index}: non-positive capacity")
 
     def time_array(self) -> np.ndarray:
         return np.asarray(self.times, dtype=float)
@@ -75,7 +91,9 @@ class Dataset:
     nominal_capacity: float
     cycles: tuple[CycleRecord, ...]
 
-    def validate(self) -> None:
+    def validate(self, samples: bool = True) -> None:
+        """Check the dataset; ``samples=False`` skips the sample checks of
+        records that ``parse_samples`` has already validated."""
         if self.nominal_capacity <= 0:
             raise ValueError("nominal capacity must be positive")
         indices = [c.cycle_index for c in self.cycles]
@@ -85,7 +103,7 @@ class Dataset:
         if indices != sorted(indices):
             raise ValueError("cycles not sorted by cycle_index")
         for cyc in self.cycles:
-            cyc.validate()
+            cyc.validate(samples)
             if cyc.discharge_capacity is None:
                 raise ValueError(f"cycle {cyc.cycle_index}: missing capacity")
 
@@ -164,36 +182,112 @@ def _split_csv(csv_text: str, expected_header: str) -> list[tuple[int, list[str]
     return rows
 
 
-def parse_samples(csv_text: str) -> list[CycleRecord]:
-    """Parse a samples CSV into per-cycle records (capacity unfilled).
+def _sample_runs_by_line(csv_text: str) -> list[tuple[int, tuple, tuple]]:
+    """(cycle, times, voltages) per cycle, in order of first appearance, line by line.
 
-    Rows are grouped by cycle index; within each cycle, times must already be
-    strictly increasing (out-of-order data is an error, not silently sorted).
+    Any input is taken here: rows of one cycle may be split up by other
+    cycles. Errors name the offending line.
     """
     rows = _split_csv(csv_text, SAMPLES_HEADER)
     battery_ids = {parts[0] for _, parts in rows}
     if len(battery_ids) > 1:
         raise ValueError(f"multiple battery ids in one samples file: {sorted(battery_ids)}")
     grouped: dict[int, list[tuple[float, float]]] = {}
-    order: list[int] = []
     for line_no, parts in rows:
         cyc = _parse_int(parts[1], line_no, "cycle")
         t = _parse_float(parts[2], line_no, "time_s")
         v = _parse_float(parts[3], line_no, "voltage_v")
-        if cyc not in grouped:
-            grouped[cyc] = []
-            order.append(cyc)
-        grouped[cyc].append((t, v))
-    records = []
-    for cyc in order:
-        samples = grouped[cyc]
-        rec = CycleRecord(
-            cycle_index=cyc,
-            times=tuple(t for t, _ in samples),
-            voltages=tuple(v for _, v in samples),
-        )
-        rec.validate()
-        records.append(rec)
+        grouped.setdefault(cyc, []).append((t, v))
+    return [(cyc, tuple(t for t, _ in samples), tuple(v for _, v in samples))
+            for cyc, samples in grouped.items()]
+
+
+def _sample_columns(csv_text: str):
+    """(cycles, times, voltages, bounds) of a samples CSV, a column at a time.
+
+    One ``",".join(...).split(",")`` turns the whole body into tokens and one
+    ``map`` converts each column; cycle ``k`` is rows ``bounds[k]`` to
+    ``bounds[k + 1]``, a run of equal cycle numbers. None when the line loop
+    has to decide: a wrong header or column count, a token ``int`` or
+    ``float`` refuses, several battery ids, or a cycle whose rows are not
+    contiguous.
+    """
+    lines = csv_text.replace("\r\n", "\n").split("\n")
+    if lines[0].strip() != SAMPLES_HEADER:
+        return None
+    body = list(filter(str.strip, lines[1:]))
+    del lines
+    n_cols = SAMPLES_HEADER.count(",") + 1
+    if set(map(str.count, body, repeat(","))) - {n_cols - 1}:
+        return None
+    joined = ",".join(body)
+    del body  # the line strings go before the tokens are made
+    tokens = joined.split(",") if joined else []
+    del joined
+    if len({token.strip() for token in set(tokens[0::n_cols])}) > 1:
+        return None
+    try:
+        cycle_tokens = tokens[1::n_cols]
+        cycle_of = {token: int(token) for token in set(cycle_tokens)}
+        cycles = list(map(cycle_of.__getitem__, cycle_tokens))
+        times = list(map(float, tokens[2::n_cols]))
+        voltages = list(map(float, tokens[3::n_cols]))
+        starts = np.flatnonzero(np.diff(np.array(cycles, dtype=np.int64))) + 1
+    except (ValueError, OverflowError):
+        return None
+    bounds = [0, *starts.tolist(), len(cycles)] if cycles else [0]
+    if len({cycles[a] for a in bounds[:-1]}) < len(bounds) - 1:
+        return None
+    return cycles, times, voltages, bounds
+
+
+def _samples_valid(cycles, times: np.ndarray, voltages: np.ndarray, bounds) -> bool:
+    """Whether every run of samples passes ``CycleRecord.validate``, checked
+    over the whole cell at once: the same comparisons on the same values.
+
+    Run ``k`` is cycle ``cycles[k]``, samples ``bounds[k]`` to
+    ``bounds[k + 1]``. On False, validating the records one by one raises the
+    first failure's message.
+    """
+    if len(bounds) < 2:
+        return True
+    starts, ends = bounds[:-1], bounds[1:]
+    if min(cycles) < 1 or np.diff(bounds).min() < MIN_SAMPLES_PER_CYCLE:
+        return False
+    if np.any(times[starts] < 0):
+        return False
+    step_down = np.diff(times) <= 0
+    step_down[np.array(ends[:-1], dtype=np.intp) - 1] = False  # from one cycle into the next
+    if np.any(step_down):
+        return False
+    running_max = np.empty_like(voltages)
+    for a, b in zip(starts, ends):
+        np.maximum.accumulate(voltages[a:b], out=running_max[a:b])
+    return not np.any(voltages < running_max - VOLTAGE_TOLERANCE_V)
+
+
+def parse_samples(csv_text: str) -> list[CycleRecord]:
+    """Parse a samples CSV into per-cycle records (capacity unfilled).
+
+    Rows are grouped by cycle index; within each cycle, times must already be
+    strictly increasing (out-of-order data is an error, not silently sorted).
+    Each record is validated here, once.
+    """
+    columns = _sample_columns(csv_text)
+    if columns is None:
+        records = [CycleRecord(cycle_index=cyc, times=times, voltages=voltages)
+                   for cyc, times, voltages in _sample_runs_by_line(csv_text)]
+        valid = False
+    else:
+        cycles, times, voltages, bounds = columns
+        records = [CycleRecord(cycle_index=cycles[a], times=tuple(times[a:b]),
+                               voltages=tuple(voltages[a:b]))
+                   for a, b in zip(bounds, bounds[1:])]
+        valid = _samples_valid([r.cycle_index for r in records], np.array(times),
+                               np.array(voltages), bounds)
+    if not valid:
+        for rec in records:
+            rec.validate()
     return records
 
 
@@ -213,9 +307,14 @@ def parse_capacity(csv_text: str) -> dict[int, float]:
 
 
 def sniff_battery_id(csv_text: str) -> str | None:
-    """Battery id of the first data row, for cross-file consistency checks."""
-    lines = csv_text.replace("\r\n", "\n").split("\n")
-    for line in lines[1:]:
+    """Battery id of the first data row, for cross-file consistency checks.
+
+    Reads no further than that row.
+    """
+    end = csv_text.find("\n")  # the header ends here
+    while end >= 0:
+        start, end = end + 1, csv_text.find("\n", end + 1)
+        line = csv_text[start:end] if end >= 0 else csv_text[start:]
         if line.strip():
             return line.split(",")[0].strip()
     return None
@@ -227,7 +326,11 @@ def assemble_dataset(
     battery_id: str,
     nominal_capacity: float,
 ) -> Dataset:
-    """Join sample records with capacities into a validated Dataset."""
+    """Join sample records with capacities into a validated Dataset.
+
+    The records are those ``parse_samples`` returns, whose samples it has
+    validated; here the capacities and cycle indices are checked.
+    """
     orphans = sorted(r.cycle_index for r in records if r.cycle_index not in capacities)
     if orphans:
         raise ValueError(f"cycles without capacity entries: {orphans}")
@@ -240,7 +343,7 @@ def assemble_dataset(
         nominal_capacity=nominal_capacity,
         cycles=tuple(filled),
     )
-    ds.validate()
+    ds.validate(samples=False)
     return ds
 
 
@@ -313,16 +416,19 @@ def _wobble(n: int, spec: tuple[float, float, float]) -> float:
     return amp * np.sin(rate * n + phase)
 
 
-def _curve_voltage(tau_s: float, t_pre: float, t_plat: float, t_post: float,
-                   v_start: float, v_plat_lo: float, v_plat_hi: float, v_end: float) -> float:
-    if tau_s <= t_pre:
-        u = tau_s / t_pre
-        return v_start + (v_plat_lo - v_start) * u ** 0.6
-    if tau_s <= t_pre + t_plat:
-        u = (tau_s - t_pre) / t_plat
-        return v_plat_lo + (v_plat_hi - v_plat_lo) * u
-    u = min((tau_s - t_pre - t_plat) / t_post, 1.0)
-    return v_plat_hi + (v_end - v_plat_hi) * (0.6 * u + 0.4 * u ** 3)
+def _grid_counts(duration: np.ndarray) -> np.ndarray:
+    """Interior grid points of each phase: the k >= 1 with k * dt < duration - 1.
+
+    ceil((duration - 1) / dt) - 1 counts them as the sample loop did: with dt
+    = 20, a quotient rounded to the nearest double never lands past an
+    integer that the exact quotient does not reach.
+    """
+    return np.maximum(np.ceil((duration - 1.0) / _SAMPLE_DT_S) - 1.0, 0.0).astype(np.int64)
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent through libm ``pow``, as numpy scalars and floats raise."""
+    return np.fromiter(map(math.pow, base.tolist(), repeat(exponent)), float, len(base))
 
 
 def synth_dataset(cfg: SynthConfig) -> Dataset:
@@ -331,6 +437,11 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
     With noise_sd = 0 the capacity sequence is exactly q0 * (1 - k * n^p); at
     the default fade law the total charge time is also strictly decreasing in
     the cycle index (the duration wobble is slower than the plateau fade).
+
+    Every cycle draws from its own stream ``derive_seed(seed, "cycle", n)``:
+    the capacity normal, the two duration jitters, then one normal per
+    sample. All cycles are drawn together through ``normal_lanes``, and the
+    curves are computed as arrays over every sample of the cell.
     """
     cfg.validate()
     n = np.arange(1, cfg.n_cycles + 1, dtype=float)
@@ -344,70 +455,102 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
     v_plat_lo = cfg.plateau_voltage - _PLATEAU_HALF_WIDTH_V
     v_plat_hi = cfg.plateau_voltage + _PLATEAU_HALF_WIDTH_V
     cap_noise_sd = cfg.noise_sd * cfg.q0
-    cycles = []
-    for idx in range(cfg.n_cycles):
-        cycle_no = idx + 1
-        rng = Rng(derive_seed(cfg.seed, "cycle", cycle_no))
-        q = clean_q[idx] + (rng.normal(0.0, cap_noise_sd) if cap_noise_sd > 0 else 0.0)
-        q = max(q, 1e-6 * cfg.q0)
-        fade = 1.0 - q / cfg.q0
-        v_end = cfg.plateau_voltage + _V_END_OFFSET + _V_END_DRIFT * fade
-        t_pre = _T_PRE_S - _PRE_FADE_S * fade + _wobble(cycle_no, _PRE_WOBBLE)
-        t_plat = _T_PLATEAU_FRESH_S * q / cfg.q0
-        t_post = _T_POST_S - _POST_FADE_S * fade + _wobble(cycle_no, _POST_WOBBLE)
-        if cfg.noise_sd > 0:
-            t_pre += rng.normal(0.0, _PRE_JITTER_S_PER_V * cfg.noise_sd)
-            t_post += rng.normal(0.0, _POST_JITTER_S_PER_V * cfg.noise_sd)
-            t_pre = max(t_pre, 0.5 * _T_PRE_S)
-            t_post = max(t_post, 0.5 * _T_POST_S)
-        t_total = t_pre + t_plat + t_post
+    cycle_nos = range(1, cfg.n_cycles + 1)
+    seeds = [derive_seed(cfg.seed, "cycle", c) for c in cycle_nos]
+    lead_sds = [cap_noise_sd] if cap_noise_sd > 0 else []
+    if cfg.noise_sd > 0:
+        lead_sds += [_PRE_JITTER_S_PER_V * cfg.noise_sd, _POST_JITTER_S_PER_V * cfg.noise_sd]
+    lead = normal_lanes(seeds, lead_sds)
 
-        # Per-phase sampling grids with the phase junctions as exact sample
-        # points: boundary crossings then interpolate exactly on noise-free
-        # curves, so segment times inherit the fade law without grid jitter.
-        times = [0.0]
-        for phase_start, duration in (
-            (0.0, t_pre),
-            (t_pre, t_plat),
-            (t_pre + t_plat, t_post),
-        ):
-            k = 1
-            while k * _SAMPLE_DT_S < duration - 1.0:
-                times.append(phase_start + k * _SAMPLE_DT_S)
-                k += 1
-            times.append(phase_start + duration)
-        voltages = []
-        for t in times:
-            v = _curve_voltage(t, t_pre, t_plat, t_post,
-                               v_start, v_plat_lo, v_plat_hi, v_end)
-            if cfg.noise_sd > 0:
-                eps = rng.normal(0.0, cfg.noise_sd)
-                clip = 2.0 * cfg.noise_sd
-                v += min(max(eps, -clip), clip)
-            voltages.append(v)
-        rec = CycleRecord(
-            cycle_index=cycle_no,
-            times=tuple(times),
-            voltages=tuple(voltages),
-            discharge_capacity=float(q),
+    q = clean_q + (lead[:, 0] if cap_noise_sd > 0 else 0.0)
+    q = np.maximum(q, 1e-6 * cfg.q0)
+    fade = 1.0 - q / cfg.q0
+    v_end = cfg.plateau_voltage + _V_END_OFFSET + _V_END_DRIFT * fade
+    t_pre = _T_PRE_S - _PRE_FADE_S * fade + np.array([_wobble(c, _PRE_WOBBLE) for c in cycle_nos])
+    t_plat = _T_PLATEAU_FRESH_S * q / cfg.q0
+    t_post = _T_POST_S - _POST_FADE_S * fade + np.array([_wobble(c, _POST_WOBBLE) for c in cycle_nos])
+    if cfg.noise_sd > 0:
+        t_pre = np.maximum(t_pre + lead[:, -2], 0.5 * _T_PRE_S)
+        t_post = np.maximum(t_post + lead[:, -1], 0.5 * _T_POST_S)
+    t_rise = t_pre + t_plat
+
+    # Per-phase sampling grids with the phase junctions as exact sample
+    # points: boundary crossings then interpolate exactly on noise-free
+    # curves, so segment times inherit the fade law without grid jitter.
+    # Each cycle is four runs of samples at phase_start + offset: the start
+    # 0.0, then for each phase its grid points k * dt and its end at
+    # phase_start + duration.
+    zero = np.zeros(cfg.n_cycles)
+    run_start = np.column_stack((zero, zero, t_pre, t_rise)).ravel()
+    run_duration = np.column_stack((zero, t_pre, t_plat, t_post)).ravel()
+    run_len = 1 + _grid_counts(run_duration)
+    position = np.arange(run_len.sum()) - np.repeat(np.cumsum(run_len) - run_len, run_len)
+    is_end = position == np.repeat(run_len - 1, run_len)
+    offset = np.where(is_end, np.repeat(run_duration, run_len), (position + 1) * _SAMPLE_DT_S)
+    tau = np.repeat(run_start, run_len) + offset
+
+    n_samples = run_len.reshape(-1, 4).sum(axis=1)
+    pre, plat, post, end = (np.repeat(a, n_samples) for a in (t_pre, t_plat, t_post, v_end))
+    voltage = np.empty(len(tau))
+    rise = tau <= pre
+    plateau = ~rise & (tau <= pre + plat)
+    tail = ~rise & ~plateau
+    u = tau[rise] / pre[rise]
+    voltage[rise] = v_start + (v_plat_lo - v_start) * _pow(u, 0.6)
+    u = (tau[plateau] - pre[plateau]) / plat[plateau]
+    voltage[plateau] = v_plat_lo + (v_plat_hi - v_plat_lo) * u
+    u = np.minimum((tau[tail] - pre[tail] - plat[tail]) / post[tail], 1.0)
+    voltage[tail] = v_plat_hi + (end[tail] - v_plat_hi) * (0.6 * u + 0.4 * _pow(u, 3.0))
+    if cfg.noise_sd > 0:
+        sample_sds = [cfg.noise_sd] * int(n_samples.max())
+        eps = normal_lanes(seeds, lead_sds + sample_sds)[:, len(lead_sds):]
+        eps = eps[np.arange(eps.shape[1]) < n_samples[:, None]]
+        clip = 2.0 * cfg.noise_sd
+        voltage += np.minimum(np.maximum(eps, -clip), clip)
+
+    bounds = np.concatenate(([0], np.cumsum(n_samples))).tolist()
+    times, voltages = tau.tolist(), voltage.tolist()
+    cycles = tuple(
+        CycleRecord(
+            cycle_index=c,
+            times=tuple(times[a:b]),
+            voltages=tuple(voltages[a:b]),
+            discharge_capacity=cap,
         )
-        cycles.append(rec)
-    ds = Dataset(battery_id="synthetic", nominal_capacity=cfg.q0, cycles=tuple(cycles))
-    ds.validate()
+        for c, a, b, cap in zip(cycle_nos, bounds, bounds[1:], q.tolist())
+    )
+    ds = Dataset(battery_id="synthetic", nominal_capacity=cfg.q0, cycles=cycles)
+    ds.validate(samples=not _samples_valid(cycle_nos, tau, voltage, bounds))
     return ds
 
 
+def _unlike_g12(x: np.ndarray) -> np.ndarray:
+    """Where ``"%.12g" % x`` differs from ``format_number(x)``: non-finite
+    values, which it must reject, -0.0 and integral values of 13 to 15 digits."""
+    whole = (x == np.trunc(x)) & (np.abs(x) < 1e15)
+    return ~np.isfinite(x) | whole & ((np.abs(x) >= 1e12) | ((x == 0) & np.signbit(x)))
+
+
 def samples_csv(ds: Dataset) -> str:
-    """Serialize charge curves to the samples.csv wire format."""
+    """Serialize charge curves to the samples.csv wire format.
+
+    Each row is one ``"%.12g"`` format; the few rows where that differs from
+    ``format_number`` are formatted again value by value.
+    """
     from .jsonio import format_number
 
-    lines = [SAMPLES_HEADER]
-    for cyc in ds.cycles:
-        for t, v in zip(cyc.times, cyc.voltages):
-            lines.append(
-                f"{ds.battery_id},{cyc.cycle_index},{format_number(t)},{format_number(v)}"
-            )
-    return "\n".join(lines) + "\n"
+    lengths = [min(len(c.times), len(c.voltages)) for c in ds.cycles]
+    t = np.fromiter(chain.from_iterable(c.times[:k] for c, k in zip(ds.cycles, lengths)),
+                    float, sum(lengths))
+    v = np.fromiter(chain.from_iterable(c.voltages[:k] for c, k in zip(ds.cycles, lengths)),
+                    float, sum(lengths))
+    prefixes = chain.from_iterable(repeat(f"{ds.battery_id},{c.cycle_index}", k)
+                                   for c, k in zip(ds.cycles, lengths))
+    rows = list(map("%s,%.12g,%.12g".__mod__, zip(prefixes, t.tolist(), v.tolist())))
+    for i in np.flatnonzero(_unlike_g12(t) | _unlike_g12(v)).tolist():
+        prefix = rows[i].rsplit(",", 2)[0]
+        rows[i] = f"{prefix},{format_number(t[i])},{format_number(v[i])}"
+    return "\n".join(chain((SAMPLES_HEADER,), rows)) + "\n"
 
 
 def capacity_csv(ds: Dataset) -> str:

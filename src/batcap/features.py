@@ -78,8 +78,10 @@ class FeatureMatrix:
 
 def fit_charging_line(rec: CycleRecord) -> LineFit:
     """Ordinary least squares of voltage on time over the whole cycle."""
-    t = rec.time_array()
-    v = rec.voltage_array()
+    return _line_fit(rec.time_array(), rec.voltage_array())
+
+
+def _line_fit(t: np.ndarray, v: np.ndarray) -> LineFit:
     if len(t) < 2:
         raise ValueError("need at least 2 samples to fit a line")
     t_mean = t.mean()
@@ -175,8 +177,10 @@ def first_crossing_time(rec: CycleRecord, level: float) -> float:
     Linear interpolation between the bracketing samples; t[0] if the curve
     starts at or above the level, t[-1] if it never gets there.
     """
-    t = rec.time_array()
-    v = rec.voltage_array()
+    return _crossing_time(rec.time_array(), rec.voltage_array(), level)
+
+
+def _crossing_time(t: np.ndarray, v: np.ndarray, level: float) -> float:
     if v[0] >= level:
         return float(t[0])
     above = np.nonzero(v >= level)[0]
@@ -187,6 +191,12 @@ def first_crossing_time(rec: CycleRecord, level: float) -> float:
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))
 
 
+def _entry_times(t: np.ndarray, v: np.ndarray, seg: VoltageSegments) -> list[float]:
+    """First-crossing times of the four segment boundaries, lowest first."""
+    return [_crossing_time(t, v, level) for level in (seg.vs1[0], seg.vs2[0], seg.vs3[0],
+                                                      seg.vs3[1])]
+
+
 def segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, float, float]:
     """Charging time spent inside each voltage segment.
 
@@ -194,10 +204,7 @@ def segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, float,
     non-negative and exactly partitions the total charge time whenever the
     curve spans all three segments.
     """
-    e0 = first_crossing_time(rec, seg.vs1[0])
-    e1 = first_crossing_time(rec, seg.vs2[0])
-    e2 = first_crossing_time(rec, seg.vs3[0])
-    e3 = first_crossing_time(rec, seg.vs3[1])
+    e0, e1, e2, e3 = _entry_times(rec.time_array(), rec.voltage_array(), seg)
     return (e1 - e0, e2 - e1, e3 - e2)
 
 
@@ -205,8 +212,8 @@ def extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
     """The 13-feature vector for one cycle (see module docstring for mapping)."""
     t = rec.time_array()
     v = rec.voltage_array()
-    fit = fit_charging_line(rec)
-    t_vs1, t_vs2, t_vs3 = segment_times(rec, seg)
+    fit = _line_fit(t, v)
+    e0, e1, e2, e3 = _entry_times(t, v, seg)
     total_time = float(t[-1] - t[0])
     mean_v = float(np.trapezoid(v, t) / total_time) if total_time > 0 else float(v.mean())
     features = np.array([
@@ -215,13 +222,13 @@ def extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
         total_time,                          # F3
         fit.slope,                           # F4
         fit.intercept,                       # F5
-        first_crossing_time(rec, seg.vs1[0]),  # F6
-        t_vs1,                               # F7
-        t_vs2,                               # F8
-        first_crossing_time(rec, seg.vs2[0]),  # F9
-        first_crossing_time(rec, seg.vs3[0]),  # F10
+        e0,                                  # F6
+        e1 - e0,                             # F7
+        e2 - e1,                             # F8
+        e1,                                  # F9
+        e2,                                  # F10
         mean_v,                              # F11
-        t_vs3,                               # F12
+        e3 - e2,                             # F12
         float(np.median(v)),                 # F13
     ], dtype=float)
     if not np.all(np.isfinite(features)):

@@ -179,3 +179,28 @@ def uniform_lanes(seeds, n: int) -> np.ndarray:
         s3[:] = rotl(s3, 45)
     raw >>= np.uint64(11)
     return raw * 2.0 ** -53
+
+
+def normal_lanes(seeds, sds) -> np.ndarray:
+    """Normals from many streams at once, one row per seed.
+
+    Row ``j`` holds, bit for bit, ``rng.normal(0.0, sd)`` for each ``sd`` in
+    ``sds``, drawn in turn from one ``rng = Rng(seeds[j])``. The uniforms come
+    from ``uniform_lanes``, and each Box-Muller pair is computed in
+    ``Rng.normal``'s order through the same libm ``log``, ``cos`` and ``sin``
+    (numpy's own may round differently).
+    """
+    sds = np.asarray(sds, dtype=float)
+    pairs = (len(sds) + 1) // 2
+    u = uniform_lanes(seeds, 2 * pairs)
+    shape = (len(u), pairs)
+    log_u1 = np.fromiter(map(math.log, (1.0 - u[:, 0::2]).ravel().tolist()), float)
+    r = np.sqrt(-2.0 * log_u1.reshape(shape))
+    theta = (2.0 * math.pi * u[:, 1::2]).ravel().tolist()
+    cos = np.fromiter(map(math.cos, theta), float).reshape(shape)
+    sin = np.fromiter(map(math.sin, theta), float).reshape(shape)
+    sd = np.resize(sds, 2 * pairs)  # an odd count draws one spare it never returns
+    z = np.empty((len(u), 2 * pairs))
+    z[:, 0::2] = 0.0 + sd[0::2] * r * cos
+    z[:, 1::2] = 0.0 + sd[1::2] * (r * sin)
+    return z[:, :len(sds)]

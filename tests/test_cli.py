@@ -236,6 +236,10 @@ def inputs(tmp_path_factory):
     (d / "str_vector.json").write_text(json.dumps(["0.5"] * n))
     (d / "bool_vector.json").write_text(json.dumps([True] * n))
     (d / "huge_vector.json").write_text(json.dumps([1e308] * n))
+    lines = (d / "features.csv").read_text().splitlines()
+    cycle, *_, target = lines[1].split(",")
+    lines[1] = ",".join([cycle, *["1e308"] * n, target])
+    (d / "huge_features.csv").write_text("\n".join(lines) + "\n")
     (d / "empty.csv").write_text("")
     (d / "deep.json").write_text("[" * 200_000)
     # A valid model file of every kind, named after the kind.
@@ -376,6 +380,12 @@ MALFORMED = [
       for model in ("model.json", "knn_fused.json") for vector in NON_FINITE_VECTORS],
     # finite features whose distances to every training row overflow
     (["predict", "--model", "@knn.json", "--input", "@huge_vector.json"], 4),
+    # a features row of finite values that overflow the model's normalization or distances
+    *[(args, 4) for model in ("model.json", "knn.json") for args in (
+        ["evaluate", "--model", f"@{model}", "--features", "@huge_features.csv",
+         "--out", "@out.json"],
+        ["shap", "--model", f"@{model}", "--features", "@huge_features.csv", "--out", "@out.json"],
+    )],
 ]
 
 
@@ -424,6 +434,21 @@ def test_predict_names_the_file_of_features_its_normalization_overflows(inputs, 
     err = capsys.readouterr().err
     assert code == 4 and err.count("\n") == 1
     assert err.startswith("ERROR 4:") and "huge_vector.json" in err
+    assert "outside what the model's normalization can represent" in err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "shap"])
+@pytest.mark.parametrize("model", ["model.json", "knn.json"])
+def test_evaluate_and_shap_name_the_features_file_their_model_overflows(inputs, command, model,
+                                                                       capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_expand(inputs, [command, "--model", f"@{model}",
+                                     "--features", "@huge_features.csv", "--out", "@out.json"]))
+    err = capsys.readouterr().err
+    assert code == 4 and err.count("\n") == 1
+    assert err.startswith("ERROR 4:") and "huge_features.csv" in err
     assert "outside what the model's normalization can represent" in err
     assert [str(w.message) for w in caught] == []
 

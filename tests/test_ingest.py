@@ -1,0 +1,495 @@
+"""The whole-file array passes of ingest against the code they replaced.
+
+Parsing, synthesis, CSV output and feature extraction must give the same
+records, the same bits, the same text and the same error messages as the
+per-line and per-sample code below, transcribed unchanged from before the
+array passes (only the names carry a ``_ref`` prefix).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from batcap import data, features
+from batcap.data import (
+    _POST_FADE_S, _POST_JITTER_S_PER_V, _POST_WOBBLE, _PRE_FADE_S, _PRE_JITTER_S_PER_V,
+    _PRE_WOBBLE, _PLATEAU_HALF_WIDTH_V, _SAMPLE_DT_S, _T_PLATEAU_FRESH_S, _T_POST_S, _T_PRE_S,
+    _V_END_DRIFT, _V_END_OFFSET, _V_START_OFFSET, SAMPLES_HEADER, CycleRecord, Dataset,
+    SynthConfig,
+)
+from batcap.features import LineFit, VoltageSegments
+from batcap.rng import Rng, derive_seed
+
+
+# --- the per-line and per-sample code, unchanged ----------------------------
+
+def _ref_parse_float(token: str, line_no: int, column: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"line {line_no}: bad {column} value {token!r}") from None
+
+
+def _ref_parse_int(token: str, line_no: int, column: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {line_no}: bad {column} value {token!r}") from None
+
+
+def _ref_split_csv(csv_text: str, expected_header: str) -> list[tuple[int, list[str]]]:
+    lines = csv_text.replace("\r\n", "\n").split("\n")
+    if not lines or lines[0].strip() != expected_header:
+        raise ValueError(f"expected header {expected_header!r}")
+    rows = []
+    n_cols = expected_header.count(",") + 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != n_cols:
+            raise ValueError(f"line {line_no}: expected {n_cols} columns, got {len(parts)}")
+        rows.append((line_no, parts))
+    return rows
+
+
+def _ref_parse_samples(csv_text: str) -> list[CycleRecord]:
+    """Parse a samples CSV into per-cycle records (capacity unfilled).
+
+    Rows are grouped by cycle index; within each cycle, times must already be
+    strictly increasing (out-of-order data is an error, not silently sorted).
+    """
+    rows = _ref_split_csv(csv_text, SAMPLES_HEADER)
+    battery_ids = {parts[0] for _, parts in rows}
+    if len(battery_ids) > 1:
+        raise ValueError(f"multiple battery ids in one samples file: {sorted(battery_ids)}")
+    grouped: dict[int, list[tuple[float, float]]] = {}
+    order: list[int] = []
+    for line_no, parts in rows:
+        cyc = _ref_parse_int(parts[1], line_no, "cycle")
+        t = _ref_parse_float(parts[2], line_no, "time_s")
+        v = _ref_parse_float(parts[3], line_no, "voltage_v")
+        if cyc not in grouped:
+            grouped[cyc] = []
+            order.append(cyc)
+        grouped[cyc].append((t, v))
+    records = []
+    for cyc in order:
+        samples = grouped[cyc]
+        rec = CycleRecord(
+            cycle_index=cyc,
+            times=tuple(t for t, _ in samples),
+            voltages=tuple(v for _, v in samples),
+        )
+        rec.validate()
+        records.append(rec)
+    return records
+
+
+def _ref_sniff_battery_id(csv_text: str) -> str | None:
+    """Battery id of the first data row, for cross-file consistency checks."""
+    lines = csv_text.replace("\r\n", "\n").split("\n")
+    for line in lines[1:]:
+        if line.strip():
+            return line.split(",")[0].strip()
+    return None
+
+
+def _ref_wobble(n: int, spec: tuple[float, float, float]) -> float:
+    amp, rate, phase = spec
+    return amp * np.sin(rate * n + phase)
+
+
+def _ref_curve_voltage(tau_s: float, t_pre: float, t_plat: float, t_post: float,
+                       v_start: float, v_plat_lo: float, v_plat_hi: float, v_end: float) -> float:
+    if tau_s <= t_pre:
+        u = tau_s / t_pre
+        return v_start + (v_plat_lo - v_start) * u ** 0.6
+    if tau_s <= t_pre + t_plat:
+        u = (tau_s - t_pre) / t_plat
+        return v_plat_lo + (v_plat_hi - v_plat_lo) * u
+    u = min((tau_s - t_pre - t_plat) / t_post, 1.0)
+    return v_plat_hi + (v_end - v_plat_hi) * (0.6 * u + 0.4 * u ** 3)
+
+
+def _ref_synth_dataset(cfg: SynthConfig) -> Dataset:
+    """Generate an LFP-like synthetic dataset under the configured fade law.
+
+    With noise_sd = 0 the capacity sequence is exactly q0 * (1 - k * n^p); at
+    the default fade law the total charge time is also strictly decreasing in
+    the cycle index (the duration wobble is slower than the plateau fade).
+    """
+    cfg.validate()
+    n = np.arange(1, cfg.n_cycles + 1, dtype=float)
+    clean_q = cfg.q0 * (1.0 - cfg.fade_rate * n ** cfg.fade_power)
+    if np.any(clean_q <= 0):
+        first_bad = int(n[clean_q <= 0][0])
+        raise ValueError(
+            f"fade parameters give non-positive capacity at cycle {first_bad}"
+        )
+    v_start = cfg.plateau_voltage + _V_START_OFFSET
+    v_plat_lo = cfg.plateau_voltage - _PLATEAU_HALF_WIDTH_V
+    v_plat_hi = cfg.plateau_voltage + _PLATEAU_HALF_WIDTH_V
+    cap_noise_sd = cfg.noise_sd * cfg.q0
+    cycles = []
+    for idx in range(cfg.n_cycles):
+        cycle_no = idx + 1
+        rng = Rng(derive_seed(cfg.seed, "cycle", cycle_no))
+        q = clean_q[idx] + (rng.normal(0.0, cap_noise_sd) if cap_noise_sd > 0 else 0.0)
+        q = max(q, 1e-6 * cfg.q0)
+        fade = 1.0 - q / cfg.q0
+        v_end = cfg.plateau_voltage + _V_END_OFFSET + _V_END_DRIFT * fade
+        t_pre = _T_PRE_S - _PRE_FADE_S * fade + _ref_wobble(cycle_no, _PRE_WOBBLE)
+        t_plat = _T_PLATEAU_FRESH_S * q / cfg.q0
+        t_post = _T_POST_S - _POST_FADE_S * fade + _ref_wobble(cycle_no, _POST_WOBBLE)
+        if cfg.noise_sd > 0:
+            t_pre += rng.normal(0.0, _PRE_JITTER_S_PER_V * cfg.noise_sd)
+            t_post += rng.normal(0.0, _POST_JITTER_S_PER_V * cfg.noise_sd)
+            t_pre = max(t_pre, 0.5 * _T_PRE_S)
+            t_post = max(t_post, 0.5 * _T_POST_S)
+        t_total = t_pre + t_plat + t_post
+
+        # Per-phase sampling grids with the phase junctions as exact sample
+        # points: boundary crossings then interpolate exactly on noise-free
+        # curves, so segment times inherit the fade law without grid jitter.
+        times = [0.0]
+        for phase_start, duration in (
+            (0.0, t_pre),
+            (t_pre, t_plat),
+            (t_pre + t_plat, t_post),
+        ):
+            k = 1
+            while k * _SAMPLE_DT_S < duration - 1.0:
+                times.append(phase_start + k * _SAMPLE_DT_S)
+                k += 1
+            times.append(phase_start + duration)
+        voltages = []
+        for t in times:
+            v = _ref_curve_voltage(t, t_pre, t_plat, t_post,
+                                   v_start, v_plat_lo, v_plat_hi, v_end)
+            if cfg.noise_sd > 0:
+                eps = rng.normal(0.0, cfg.noise_sd)
+                clip = 2.0 * cfg.noise_sd
+                v += min(max(eps, -clip), clip)
+            voltages.append(v)
+        rec = CycleRecord(
+            cycle_index=cycle_no,
+            times=tuple(times),
+            voltages=tuple(voltages),
+            discharge_capacity=float(q),
+        )
+        cycles.append(rec)
+    ds = Dataset(battery_id="synthetic", nominal_capacity=cfg.q0, cycles=tuple(cycles))
+    ds.validate()
+    return ds
+
+
+def _ref_samples_csv(ds: Dataset) -> str:
+    """Serialize charge curves to the samples.csv wire format."""
+    from batcap.jsonio import format_number
+
+    lines = [SAMPLES_HEADER]
+    for cyc in ds.cycles:
+        for t, v in zip(cyc.times, cyc.voltages):
+            lines.append(
+                f"{ds.battery_id},{cyc.cycle_index},{format_number(t)},{format_number(v)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _ref_fit_charging_line(rec: CycleRecord) -> LineFit:
+    """Ordinary least squares of voltage on time over the whole cycle."""
+    t = rec.time_array()
+    v = rec.voltage_array()
+    if len(t) < 2:
+        raise ValueError("need at least 2 samples to fit a line")
+    t_mean = t.mean()
+    v_mean = v.mean()
+    stt = float(np.sum((t - t_mean) ** 2))
+    if stt == 0.0:
+        raise ValueError("all sample times identical; slope undefined")
+    slope = float(np.sum((t - t_mean) * (v - v_mean)) / stt)
+    intercept = float(v_mean - slope * t_mean)
+    ss_res = float(np.sum((v - (slope * t + intercept)) ** 2))
+    ss_tot = float(np.sum((v - v_mean) ** 2))
+    # Constant voltage fits exactly with slope 0; report a perfect fit.
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    return LineFit(slope=slope, intercept=intercept, r2=r2)
+
+
+def _ref_first_crossing_time(rec: CycleRecord, level: float) -> float:
+    """Time at which the curve first reaches ``level`` volts.
+
+    Linear interpolation between the bracketing samples; t[0] if the curve
+    starts at or above the level, t[-1] if it never gets there.
+    """
+    t = rec.time_array()
+    v = rec.voltage_array()
+    if v[0] >= level:
+        return float(t[0])
+    above = np.nonzero(v >= level)[0]
+    if len(above) == 0:
+        return float(t[-1])
+    i = int(above[0])
+    frac = (level - v[i - 1]) / (v[i] - v[i - 1])
+    return float(t[i - 1] + frac * (t[i] - t[i - 1]))
+
+
+def _ref_segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, float, float]:
+    """Charging time spent inside each voltage segment.
+
+    Durations are differences of first-crossing times, which makes them
+    non-negative and exactly partitions the total charge time whenever the
+    curve spans all three segments.
+    """
+    e0 = _ref_first_crossing_time(rec, seg.vs1[0])
+    e1 = _ref_first_crossing_time(rec, seg.vs2[0])
+    e2 = _ref_first_crossing_time(rec, seg.vs3[0])
+    e3 = _ref_first_crossing_time(rec, seg.vs3[1])
+    return (e1 - e0, e2 - e1, e3 - e2)
+
+
+def _ref_extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
+    """The 13-feature vector for one cycle (see module docstring for mapping)."""
+    t = rec.time_array()
+    v = rec.voltage_array()
+    fit = _ref_fit_charging_line(rec)
+    t_vs1, t_vs2, t_vs3 = _ref_segment_times(rec, seg)
+    total_time = float(t[-1] - t[0])
+    mean_v = float(np.trapezoid(v, t) / total_time) if total_time > 0 else float(v.mean())
+    features = np.array([
+        v[0],                                # F1
+        v[-1],                               # F2
+        total_time,                          # F3
+        fit.slope,                           # F4
+        fit.intercept,                       # F5
+        _ref_first_crossing_time(rec, seg.vs1[0]),  # F6
+        t_vs1,                               # F7
+        t_vs2,                               # F8
+        _ref_first_crossing_time(rec, seg.vs2[0]),  # F9
+        _ref_first_crossing_time(rec, seg.vs3[0]),  # F10
+        mean_v,                              # F11
+        t_vs3,                               # F12
+        float(np.median(v)),                 # F13
+    ], dtype=float)
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"cycle {rec.cycle_index}: non-finite feature values")
+    return features
+
+# --- equivalence ------------------------------------------------------------
+
+SYNTH_CONFIGS = {
+    "default": SynthConfig(),
+    "long_life": SynthConfig(n_cycles=2000, fade_rate=0.0004),
+    "noise_free": SynthConfig(noise_sd=0.0),
+    **{f"seed_{seed}": SynthConfig(n_cycles=120, seed=seed) for seed in (1, 2, 3)},
+}
+
+
+def _bits(records):
+    """Every number of the records as raw float64 bytes, so -0.0 differs from 0.0."""
+    return [(r.cycle_index, np.array(r.times).tobytes(), np.array(r.voltages).tobytes(),
+             np.float64(r.discharge_capacity or 0.0).tobytes()) for r in records]
+
+
+@pytest.fixture(scope="module", params=list(SYNTH_CONFIGS), ids=list(SYNTH_CONFIGS))
+def synth_pair(request):
+    cfg = SYNTH_CONFIGS[request.param]
+    return data.synth_dataset(cfg), _ref_synth_dataset(cfg)
+
+
+def test_synth_matches_the_per_sample_reference(synth_pair):
+    ds, ref = synth_pair
+    assert ds == ref
+    assert _bits(ds.cycles) == _bits(ref.cycles)
+
+
+def test_samples_csv_matches_the_reference(synth_pair):
+    ds, ref = synth_pair
+    assert data.samples_csv(ds) == _ref_samples_csv(ref)
+
+
+def test_parse_matches_the_reference_on_synthetic_csv(synth_pair):
+    text = _ref_samples_csv(synth_pair[1])
+    records = data.parse_samples(text)
+    expected = _ref_parse_samples(text)
+    assert records == expected
+    assert _bits(records) == _bits(expected)
+
+
+def test_features_match_the_reference(synth_pair):
+    ds = synth_pair[0]
+    seg = features.detect_segments(ds.cycles[len(ds) // 2])
+    expected = np.array([_ref_extract_features(c, seg) for c in ds.cycles])
+    assert np.array_equal(features.build_matrix(ds, seg).X, expected)
+    for cyc in ds.cycles[:: max(1, len(ds) // 20)]:
+        assert features.segment_times(cyc, seg) == _ref_segment_times(cyc, seg)
+        assert features.fit_charging_line(cyc) == _ref_fit_charging_line(cyc)
+
+
+def test_samples_csv_matches_the_reference_on_special_values():
+    times = (-0.0, 0.0, 1.0, 999999999999.0, 1e12, 123456789012345.0, 1e15, 2.5e-7, 1e300, 7.0)
+    voltages = (3.0, -0.0, 1234567890123.0, -5.0, 0.1, 1 / 3, -1e13, 4.25, 3.3, 3.4)
+    ds = Dataset("cell,7", 170.0, (CycleRecord(1, times, voltages, 170.0),
+                                   CycleRecord(3, times[:4], voltages[:3], 169.0)))
+    assert data.samples_csv(ds) == _ref_samples_csv(ds)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_samples_csv_rejects_non_finite_values_as_the_reference(bad):
+    first = CycleRecord(1, (0.0, 1.0, 2.0), (3.0, 3.1, 3.2), 170.0)
+    later = CycleRecord(2, (0.0, 1.0, bad), (3.0, -bad, 3.2), 169.0)
+    ds = Dataset("b", 170.0, (first, later))
+    with pytest.raises(ValueError) as expected:
+        _ref_samples_csv(ds)
+    with pytest.raises(ValueError) as got:
+        data.samples_csv(ds)
+    assert str(got.value) == str(expected.value)
+
+
+def _rows(cycles, n=11, battery="b", sep=","):
+    """Sample rows of the given cycle numbers, in order, each with rising t and v."""
+    seen = {}
+    lines = []
+    for cyc in cycles:
+        i = seen.get(cyc, 0)
+        seen[cyc] = i + 1
+        lines.append(sep.join((battery, str(cyc), str(10 * i), str(3.0 + 0.01 * i))))
+    return lines
+
+
+def _csv(lines, header=SAMPLES_HEADER, newline="\n"):
+    return newline.join([header, *lines]) + newline
+
+
+def _two_cycles():
+    return _rows([1] * 11 + [2] * 11)
+
+
+def _replace(lines, index, text):
+    lines = list(lines)
+    lines[index] = text
+    return lines
+
+
+ACCEPTED = {
+    "plain": _csv(_two_cycles()),
+    "crlf": _csv(_two_cycles(), newline="\r\n"),
+    "no_final_newline": _csv(_two_cycles()).rstrip("\n"),
+    "blank_lines": _csv(["", *_two_cycles()[:5], "", "   ", "\t", *_two_cycles()[5:], "", ""]),
+    "crlf_blank_lines": _csv(["", *_two_cycles()[:7], " ", *_two_cycles()[7:]], newline="\r\n"),
+    "padded_tokens": _csv(_rows([1] * 11 + [2] * 11, sep=" , ")),
+    "padded_battery_ids": _csv([" b" + line[1:] if i % 2 else line
+                                for i, line in enumerate(_two_cycles())]),
+    "underscore_numerals": _csv(_rows([10] * 11)).replace("b,10,", "b,1_0,"),
+    "mixed_cycle_spellings": _csv(_rows([2] * 22)).replace("b,2,1", "b, 2,1"),
+    "interleaved_1_2_1": _csv(_rows([1] * 6 + [2] * 11 + [1] * 5)),
+    "interleaved_rows": _csv(_rows([1, 2] * 11)),
+    "huge_cycle_number": _csv(_rows([10 ** 30] * 11)),
+    "nan_time": _csv(_replace(_two_cycles(), 4, "b,1,nan,3.04")),
+    "header_padded": _csv(_two_cycles(), header="  " + SAMPLES_HEADER + " "),
+    "header_only": SAMPLES_HEADER + "\n",
+    "header_only_no_newline": SAMPLES_HEADER,
+    "header_then_blank_lines": SAMPLES_HEADER + "\n\n  \n",
+    "one_cycle_many_samples": _csv(_rows([5] * 400)),
+}
+
+REJECTED = {
+    "empty": "",
+    "wrong_header": _csv(_two_cycles(), header="battery,cycle,time_s,voltage_v"),
+    "three_columns": _csv(_replace(_two_cycles(), 3, "b,1,30")),
+    "five_columns": _csv(_replace(_two_cycles(), 3, "b,1,30,3.03,1")),
+    "compensating_columns": _csv(_replace(_replace(_two_cycles(), 3, "b,1,30"), 4,
+                                          "b,1,40,3.04,b")),
+    "bad_cycle": _csv(_replace(_two_cycles(), 2, "b,one,20,3.02")),
+    "float_cycle": _csv(_replace(_two_cycles(), 2, "b,1.0,20,3.02")),
+    "bad_time": _csv(_replace(_two_cycles(), 2, "b,1,zero,3.02")),
+    "bad_voltage": _csv(_replace(_two_cycles(), 2, "b,1,20,")),
+    "bad_tokens_in_two_rows": _csv(_replace(_replace(_two_cycles(), 15, "b,2,x,3.0"), 2,
+                                            "b,1,20,y")),
+    "mixed_battery_ids": _csv(_replace(_two_cycles(), 12, "c,2,10,3.01")),
+    "mixed_ids_and_bad_token": _csv(_replace(_replace(_two_cycles(), 12, "c,2,10,3.01"), 2,
+                                             "b,1,x,3.02")),
+    "too_few_samples": _csv(_rows([1] * 11 + [2] * 5)),
+    "time_backwards": _csv(_replace(_two_cycles(), 16, "b,2,35,3.05")),
+    "time_repeated": _csv(_replace(_two_cycles(), 16, "b,2,40,3.05")),
+    "negative_time": _csv(_replace(_two_cycles(), 11, "b,2,-1,3.0")),
+    "voltage_dip": _csv(_replace(_two_cycles(), 17, "b,2,60,3.04")),
+    "cycle_zero": _csv(_rows([0] * 11)),
+    "negative_cycle": _csv(_rows([-3] * 11)),
+    "interleaved_times_backwards": _csv(_rows([1] * 6 + [2] * 11) + _rows([1] * 5)),
+    "repeated_cycle_too_short": _csv(_rows([1] * 4 + [2] * 11 + [1] * 4)),
+    "validation_after_interleaving": _csv(_rows([2] * 11 + [1] * 3 + [3] * 11 + [1] * 3)),
+}
+
+
+@pytest.mark.parametrize("text", list(ACCEPTED.values()), ids=list(ACCEPTED))
+def test_parse_matches_the_reference_on_edge_inputs(text):
+    records = data.parse_samples(text)
+    expected = _ref_parse_samples(text)
+    if "nan" not in text:  # NaN != NaN: only the bits can agree
+        assert records == expected
+    assert _bits(records) == _bits(expected)
+
+
+@pytest.mark.parametrize("text", list(REJECTED.values()), ids=list(REJECTED))
+def test_parse_raises_the_reference_message(text):
+    with pytest.raises(ValueError) as expected:
+        _ref_parse_samples(text)
+    with pytest.raises(ValueError) as got:
+        data.parse_samples(text)
+    assert str(got.value) == str(expected.value)
+
+
+_TOKENS = st.sampled_from(["b", " b", "c", "1", "2", " 2 ", "3", "0", "-1", "1_0", "x", "",
+                           "10", "20", "30", "3.0", "3.1", "2.9", "nan", "1e3"])
+
+
+@given(st.lists(st.lists(_TOKENS, min_size=3, max_size=5).map(",".join), max_size=40),
+       st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=300, deadline=None)
+def test_parse_agrees_with_the_reference_on_fuzzed_rows(lines, newline):
+    text = _csv(lines, newline=newline)
+    try:
+        expected = _ref_parse_samples(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            data.parse_samples(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert _bits(data.parse_samples(text)) == _bits(expected)
+
+
+@pytest.mark.parametrize("text", [
+    *ACCEPTED.values(), *REJECTED.values(),
+    "", "\n", "\r\n", "header\r\n\r\n  \r\n cell-9 ,1,0,3\r\n", "h\n\n\nx\n", "h\n \t\n",
+    "h\nonly-id-no-comma", "h\n\r\n\r", "h\r\nid\r",
+])
+def test_sniff_battery_id_matches_the_reference(text):
+    assert data.sniff_battery_id(text) == _ref_sniff_battery_id(text)
+
+
+def test_grid_counts_match_the_sample_loop_at_the_boundaries():
+    whole = 20.0 * np.arange(0, 400) + 1.0  # k * dt == duration - 1 exactly
+    durations = np.concatenate([whole, np.nextafter(whole, np.inf), np.nextafter(whole, -np.inf),
+                                whole + 1e-9, whole - 1e-9, [0.0, 0.5, 1.0, 21.0, 3000.7]])
+    expected = []
+    for duration in durations.tolist():
+        k = 1
+        while k * _SAMPLE_DT_S < duration - 1.0:
+            k += 1
+        expected.append(k - 1)
+    assert data._grid_counts(durations).tolist() == expected
+
+
+def test_a_valid_file_is_validated_as_arrays_once(monkeypatch):
+    text = _ref_samples_csv(_ref_synth_dataset(SynthConfig(n_cycles=40)))
+    capacity = data.capacity_csv(data.synth_dataset(SynthConfig(n_cycles=40)))
+
+    def per_record(self):
+        raise AssertionError("a valid file went through the per-record checks")
+
+    monkeypatch.setattr(CycleRecord, "_validate_samples", per_record)
+    records = data.parse_samples(text)
+    ds = data.assemble_dataset(records, data.parse_capacity(capacity), "synthetic", 170.0)
+    assert len(ds) == 40

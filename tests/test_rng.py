@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from batcap.rng import Rng, derive_seed, uniform_lanes
+from batcap.rng import Rng, derive_seed, normal_lanes, uniform_lanes
 
 MASK = (1 << 64) - 1
 
@@ -117,3 +117,16 @@ def test_derive_seed_distinguishes_parts():
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_derive_seed_in_range(seed):
     assert 0 <= derive_seed(seed, "x") < 2**64
+
+
+@pytest.mark.parametrize("sds", [[], [1.0], [0.5, 2.0, 3.0], [0.051] + [0.0003] * 40],
+                         ids=["none", "one", "odd", "synth_like"])
+def test_normal_lanes_match_scalar_normals(sds):
+    seeds = [derive_seed(7, "cycle", c) for c in range(1, 60)] + [0, 2**64 - 1]
+    expected = []
+    for seed in seeds:
+        rng = Rng(seed)
+        expected.append([rng.normal(0.0, sd) for sd in sds])
+    got = normal_lanes(seeds, sds)
+    assert got.shape == (len(seeds), len(sds))
+    assert got.tobytes() == np.array(expected).reshape(len(seeds), len(sds)).tobytes()
