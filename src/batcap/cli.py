@@ -133,6 +133,21 @@ def _load_matrix(path: str) -> features.FeatureMatrix:
     return features.matrix_from_csv(_require_file(path).read_text(encoding="utf-8"))
 
 
+def _load_fit_matrix(path: str) -> features.FeatureMatrix:
+    """The features file of a command that fits or analyses all its rows.
+
+    Normalization, feature grouping and correlation all square the
+    deviations from each column's mean; a column whose variance overflows
+    exits 4 naming the file, before any of them prints a numpy warning.
+    """
+    matrix = _load_matrix(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(matrix.X.var(axis=0))) and np.isfinite(matrix.y.var())
+    if not finite:
+        raise CliError(4, f"{path}: values too large: a column's variance overflows")
+    return matrix
+
+
 def _split_seed(args, master: int) -> int:
     if getattr(args, "split_seed", None) is not None:
         return args.split_seed
@@ -210,7 +225,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    matrix = _load_matrix(args.features)
+    matrix = _load_fit_matrix(args.features)
     report = correlation.correlation_report(matrix, rho=args.rho)
     _write_artifact(correlation.report_to_dict(report), "correlation", args.out)
     print(f"top by |pcc|: {', '.join(report.ranking_pcc[:3])}")
@@ -221,7 +236,7 @@ def cmd_fuse(args) -> int:
     force_dim = args.force_dim
     if force_dim is not None and force_dim not in args.dims:
         raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
-    matrix = _load_matrix(args.features)
+    matrix = _load_fit_matrix(args.features)
     master = _master_seed(args)
     params = fusion.TsneParams(
         perplexity=args.perplexity,
@@ -238,7 +253,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_train(args) -> int:
-    matrix = _load_matrix(args.features)
+    matrix = _load_fit_matrix(args.features)
     master = _master_seed(args)
     cfg = _train_config(args, master)
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
@@ -296,7 +311,7 @@ def cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in COMPARE_KINDS:
             raise CliError(2, f"unknown model kind {kind!r}")
-    matrix = _load_matrix(args.features)
+    matrix = _load_fit_matrix(args.features)
     master = _master_seed(args)
     cfg = _train_config(args, master)
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
@@ -364,7 +379,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    matrix = _load_matrix(args.features)
+    matrix = _load_fit_matrix(args.features)
     master = _master_seed(args)
     cfg = _train_config(args, master)
     obj = pipeline.comparison_to_dict(pipeline.fused_comparison(matrix, cfg))

@@ -21,18 +21,22 @@ def pearson(x, y) -> float:
         raise ValueError("series must be 1-D and equally long")
     if len(x) < 2:
         raise ValueError("need at least 2 points")
-    # Corrected two-pass centring: the rounded mean leaves a common offset in
-    # every deviation, which matters when the spread is tiny against the level.
-    dx = x - x.mean()
-    dx -= dx.mean()
-    dy = y - y.mean()
-    dy -= dy.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("constant series: correlation undefined")
-    r = float(np.sum(dx * dy) / (sx * sy))
-    # Floating guard: keep within [-1, 1].
+    # Overflow shows as a non-finite r or spread product, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Corrected two-pass centring: the rounded mean leaves a common offset in
+        # every deviation, which matters when the spread is tiny against the level.
+        dx = x - x.mean()
+        dx -= dx.mean()
+        dy = y - y.mean()
+        dy -= dy.mean()
+        sx = float(np.sqrt(np.sum(dx * dx)))
+        sy = float(np.sqrt(np.sum(dy * dy)))
+        if sx == 0.0 or sy == 0.0:
+            raise ValueError("constant series: correlation undefined")
+        r = float(np.sum(dx * dy) / (sx * sy))
+    if not (np.isfinite(r) and np.isfinite(sx * sy)):
+        raise ValueError("series overflow: correlation not representable")
+    # Floating guard: keep within [-1, 1]; a NaN r would pass it as 1.0.
     return max(-1.0, min(1.0, r))
 
 

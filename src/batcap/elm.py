@@ -18,6 +18,8 @@ from .rng import Rng
 SVD_CUTOFF = 1e-10  # singular values below cutoff * sigma_max count as zero
 BOUND_SAFETY = 100.0  # C of residual_lower_bounds: margin over the rounding errors
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# Rows per elm_predict block: the (block, l) hidden layer stays cache-sized.
+PREDICT_BLOCK_ROWS = 1024
 
 
 ACTIVATIONS = {
@@ -199,9 +201,24 @@ def elm_fit_with_weights(X: np.ndarray, y: np.ndarray, omega: np.ndarray,
 
 
 def elm_predict(model: ElmModel, X: np.ndarray) -> np.ndarray:
+    """Predictions for the rows of X, in original target units.
+
+    Rows run in blocks of PREDICT_BLOCK_ROWS, so each block's temporaries
+    stay cache-sized, and every row gets the same bits as in one pass over
+    all rows. A block of one row would take BLAS's matrix-vector path,
+    which rounds differently, so a one-row tail joins the block before it.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    H = elm_hidden(model.norm.transform_x(X), model.omega, model.bias, model.activation)
-    return model.norm.unscale_y((H @ model.beta)[:, 0])
+    n = len(X)
+    stops = list(range(PREDICT_BLOCK_ROWS, n, PREDICT_BLOCK_ROWS))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    out = np.empty(n)
+    for start, stop in zip([0, *stops], [*stops, n]):
+        H = elm_hidden(model.norm.transform_x(X[start:stop]), model.omega, model.bias,
+                       model.activation)
+        out[start:stop] = model.norm.unscale_y((H @ model.beta)[:, 0])
+    return out
 
 
 def elm_to_dict(model: ElmModel) -> dict:

@@ -453,6 +453,28 @@ def test_evaluate_and_shap_name_the_features_file_their_model_overflows(inputs, 
     assert [str(w.message) for w in caught] == []
 
 
+FIT_ON_HUGE_FEATURES = {
+    "correlate": ["--out", "@out.json"],
+    "fuse": ["--out", "@out.json"],
+    "train": ["--config", "@train.json", "--model-out", "@out.json"],
+    "compare": ["--config", "@train.json", "--out", "@out.json"],
+    "table1": ["--config", "@train.json", "--out", "@out.json"],
+}
+
+
+@pytest.mark.parametrize("command", FIT_ON_HUGE_FEATURES)
+def test_fitting_commands_name_the_features_file_whose_variance_overflows(inputs, command,
+                                                                          capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_expand(inputs, [command, "--features", "@huge_features.csv",
+                                     *FIT_ON_HUGE_FEATURES[command]]))
+    err = capsys.readouterr().err
+    assert code == 4 and err.count("\n") == 1
+    assert err.startswith("ERROR 4:") and "huge_features.csv" in err and "overflows" in err
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("name", MISSHAPEN_MODELS)
 def test_misshapen_model_is_rejected_while_decoding(inputs, name):
     with pytest.raises(ValueError, match="^malformed"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def test_pearson_hand_computed_value():
 def test_pearson_rejects_constant_series():
     with pytest.raises(ValueError, match="constant"):
         corr.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+def test_pearson_rejects_overflowing_series():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning before the error
+        for xs in ([1e308, 0.0, 1.0], [1e160, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="overflow"):
+                corr.pearson(xs, [1.0, 2.0, 4.0])
 
 
 def test_pearson_rejects_mismatched_lengths():

@@ -194,6 +194,36 @@ def test_tanh_activation_supported():
         elm.elm_fit(X, y, hidden_l=5, activation="relu", seed=3)
 
 
+def _unblocked_predict(model, X):
+    """One hidden-layer pass over all rows: the bits the row blocks must keep."""
+    H = elm.elm_hidden(model.norm.transform_x(X), model.omega, model.bias, model.activation)
+    return model.norm.unscale_y((H @ model.beta)[:, 0])
+
+
+# 13 inputs as the plain model; 2 as the fused model's base, where a one-row
+# block at n = B + 1 changes the last bits unless the tail joins the block before.
+@pytest.mark.parametrize("n_inputs", [13, 2])
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+def test_predict_row_blocks_match_one_unblocked_pass(n_inputs, activation, monkeypatch):
+    B = elm.PREDICT_BLOCK_ROWS
+    rng = Rng(3)
+    X = rng.normals(140 * n_inputs).reshape(140, n_inputs) * 3.0 + 1.0
+    y = np.sin(X).sum(axis=1) + 0.1 * rng.normals(140)
+    model = elm.elm_fit(X, y, hidden_l=40, activation=activation, seed=3)
+    rows = np.random.default_rng(9).normal(0.0, 2.0, (max(2 * B + 2, 8192 + 7), n_inputs))
+    sizes = (0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 8192, 8192 + 7)
+    expected = {n: _unblocked_predict(model, rows[:n]) for n in sizes}
+    blocks = []
+    hidden = elm.elm_hidden
+    monkeypatch.setattr(elm, "elm_hidden", lambda Z, *a: blocks.append(len(Z)) or hidden(Z, *a))
+    for n in sizes:
+        assert np.array_equal(elm.elm_predict(model, rows[:n]), expected[n]), n
+        # Full blocks, then a tail of 2 to B + 1 rows: one row only when n is.
+        assert blocks[:-1] == [B] * (len(blocks) - 1) and sum(blocks) == n
+        assert blocks[-1] <= B + 1 and (blocks[-1] > 1 or n <= 1)
+        blocks.clear()
+
+
 def _hidden_stack(n, k, seed, scale=1.0, activation="sigmoid", corner=False, pop=30, l=40):
     """Population of hidden layers (pop, n, l) and a [0, 1]-scaled target."""
     rng = Rng(seed)
