@@ -6,13 +6,14 @@ The synthetic generator produces LFP-like curves whose voltage plateau
 shrinks as the cell fades, so capacity-driven features exist by construction.
 
 A whole-life cell has hundreds of thousands of samples, so ingest works on
-whole files as arrays. ``parse_samples`` splits the body into columns and
-converts each with one ``map``; any file that path does not take (a wrong
-column count, a bad token, mixed battery ids, a cycle split across the file)
-goes through the per-line loop, which raises the error messages, naming the
-line. ``synth_dataset`` draws every cycle's stream at once through RNG lanes
-(``rng.normal_lanes``) and computes the curves as arrays. Both give the same
-records, bit for bit, as one line or one sample at a time.
+whole files as arrays. Both CSV parsers take one pass over the file's tokens,
+which checks the header, the column count and the battery id; the samples
+parser converts each column with one ``map``, groups a cycle's rows even when
+other cycles split them up, and checks every cycle in one array pass
+(``_check_runs``). Only on an error is the file read line by line again, to
+name the line. ``synth_dataset`` draws every cycle's stream at once through
+RNG lanes (``rng.normal_lanes``) and computes the curves as arrays. Both give
+the same records, bit for bit, as one line or one sample at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .rng import Rng, derive_seed, normal_lanes
 
 SAMPLES_HEADER = "battery_id,cycle,time_s,voltage_v"
 CAPACITY_HEADER = "battery_id,cycle,discharge_capacity_mah"
+# Name and type of each column after the battery id.
+_SAMPLE_COLUMNS = (("cycle", int), ("time_s", float), ("voltage_v", float))
+_CAPACITY_COLUMNS = (("cycle", int), ("discharge_capacity_mah", float))
 
 # Constant-current charge curves rise monotonically; allow this much sensor
 # ripple below the running maximum before a cycle is rejected.
@@ -48,35 +52,10 @@ class CycleRecord:
     voltages: tuple[float, ...]
     discharge_capacity: float | None = None
 
-    def validate(self, samples: bool = True) -> None:
-        """Check the record; ``samples=False`` checks only the capacity."""
-        if samples:
-            self._validate_samples()
-        if self.discharge_capacity is not None and self.discharge_capacity <= 0:
-            raise ValueError(f"cycle {self.cycle_index}: non-positive capacity")
-
-    def _validate_samples(self) -> None:
-        if self.cycle_index < 1:
-            raise ValueError(f"cycle {self.cycle_index}: cycle index must be positive")
-        n = len(self.times)
-        if n != len(self.voltages):
-            raise ValueError(f"cycle {self.cycle_index}: time/voltage length mismatch")
-        if n < MIN_SAMPLES_PER_CYCLE:
-            raise ValueError(
-                f"cycle {self.cycle_index}: only {n} samples (need >= {MIN_SAMPLES_PER_CYCLE})"
-            )
-        t = np.asarray(self.times)
-        v = np.asarray(self.voltages)
-        if t[0] < 0:
-            raise ValueError(f"cycle {self.cycle_index}: negative time")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError(f"cycle {self.cycle_index}: time not strictly increasing")
-        running_max = np.maximum.accumulate(v)
-        if np.any(v < running_max - VOLTAGE_TOLERANCE_V):
-            raise ValueError(
-                f"cycle {self.cycle_index}: voltage drops more than "
-                f"{VOLTAGE_TOLERANCE_V * 1000:.0f} mV below its running maximum"
-            )
+    def validate(self) -> None:
+        """Check the samples; ``Dataset.validate`` checks the joined-in capacity."""
+        _check_runs([self.cycle_index], np.asarray(self.times), np.asarray(self.voltages),
+                    [0, len(self.times)])
 
     def time_array(self) -> np.ndarray:
         return np.asarray(self.times, dtype=float)
@@ -91,9 +70,8 @@ class Dataset:
     nominal_capacity: float
     cycles: tuple[CycleRecord, ...]
 
-    def validate(self, samples: bool = True) -> None:
-        """Check the dataset; ``samples=False`` skips the sample checks of
-        records that ``parse_samples`` has already validated."""
+    def validate(self) -> None:
+        """Check what the dataset owns: its records are checked where they are made."""
         if self.nominal_capacity <= 0:
             raise ValueError("nominal capacity must be positive")
         indices = [c.cycle_index for c in self.cycles]
@@ -103,9 +81,10 @@ class Dataset:
         if indices != sorted(indices):
             raise ValueError("cycles not sorted by cycle_index")
         for cyc in self.cycles:
-            cyc.validate(samples)
             if cyc.discharge_capacity is None:
                 raise ValueError(f"cycle {cyc.cycle_index}: missing capacity")
+            if cyc.discharge_capacity <= 0:
+                raise ValueError(f"cycle {cyc.cycle_index}: non-positive capacity")
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -152,156 +131,149 @@ class SynthConfig:
             raise ValueError("q0 must be positive")
 
 
-def _parse_float(token: str, line_no: int, column: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"line {line_no}: bad {column} value {token!r}") from None
-
-
-def _parse_int(token: str, line_no: int, column: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {line_no}: bad {column} value {token!r}") from None
-
-
-def _split_csv(csv_text: str, expected_header: str) -> list[tuple[int, list[str]]]:
+def _line_no(csv_text: str, row: int) -> int:
+    """File line number of data row ``row`` (from 0), blank lines counted; for errors."""
     lines = csv_text.replace("\r\n", "\n").split("\n")
-    if not lines or lines[0].strip() != expected_header:
-        raise ValueError(f"expected header {expected_header!r}")
-    rows = []
-    n_cols = expected_header.count(",") + 1
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_cols:
-            raise ValueError(f"line {line_no}: expected {n_cols} columns, got {len(parts)}")
-        rows.append((line_no, parts))
-    return rows
+    return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
-def _sample_runs_by_line(csv_text: str) -> list[tuple[int, tuple, tuple]]:
-    """(cycle, times, voltages) per cycle, in order of first appearance, line by line.
+def _csv_tokens(csv_text: str, header: str, kind: str) -> list[str]:
+    """The body of a ``kind`` CSV file as one flat list of tokens, row after row.
 
-    Any input is taken here: rows of one cycle may be split up by other
-    cycles. Errors name the offending line.
-    """
-    rows = _split_csv(csv_text, SAMPLES_HEADER)
-    battery_ids = {parts[0] for _, parts in rows}
-    if len(battery_ids) > 1:
-        raise ValueError(f"multiple battery ids in one samples file: {sorted(battery_ids)}")
-    grouped: dict[int, list[tuple[float, float]]] = {}
-    for line_no, parts in rows:
-        cyc = _parse_int(parts[1], line_no, "cycle")
-        t = _parse_float(parts[2], line_no, "time_s")
-        v = _parse_float(parts[3], line_no, "voltage_v")
-        grouped.setdefault(cyc, []).append((t, v))
-    return [(cyc, tuple(t for t, _ in samples), tuple(v for _, v in samples))
-            for cyc, samples in grouped.items()]
-
-
-def _sample_columns(csv_text: str):
-    """(cycles, times, voltages, bounds) of a samples CSV, a column at a time.
-
-    One ``",".join(...).split(",")`` turns the whole body into tokens and one
-    ``map`` converts each column; cycle ``k`` is rows ``bounds[k]`` to
-    ``bounds[k + 1]``, a run of equal cycle numbers. None when the line loop
-    has to decide: a wrong header or column count, a token ``int`` or
-    ``float`` refuses, several battery ids, or a cycle whose rows are not
-    contiguous.
+    Checks the header, the column count of every non-blank line and that all
+    rows name one battery id. Tokens keep their padding: ``int`` and
+    ``float`` ignore it.
     """
     lines = csv_text.replace("\r\n", "\n").split("\n")
-    if lines[0].strip() != SAMPLES_HEADER:
-        return None
+    if lines[0].strip() != header:
+        raise ValueError(f"expected header {header!r}")
     body = list(filter(str.strip, lines[1:]))
     del lines
-    n_cols = SAMPLES_HEADER.count(",") + 1
+    n_cols = header.count(",") + 1
     if set(map(str.count, body, repeat(","))) - {n_cols - 1}:
-        return None
+        row = next(i for i, line in enumerate(body) if line.count(",") != n_cols - 1)
+        raise ValueError(f"line {_line_no(csv_text, row)}: expected {n_cols} columns, "
+                         f"got {body[row].count(',') + 1}")
     joined = ",".join(body)
     del body  # the line strings go before the tokens are made
     tokens = joined.split(",") if joined else []
     del joined
-    if len({token.strip() for token in set(tokens[0::n_cols])}) > 1:
-        return None
-    try:
-        cycle_tokens = tokens[1::n_cols]
-        cycle_of = {token: int(token) for token in set(cycle_tokens)}
-        cycles = list(map(cycle_of.__getitem__, cycle_tokens))
-        times = list(map(float, tokens[2::n_cols]))
-        voltages = list(map(float, tokens[3::n_cols]))
-        starts = np.flatnonzero(np.diff(np.array(cycles, dtype=np.int64))) + 1
-    except (ValueError, OverflowError):
-        return None
-    bounds = [0, *starts.tolist(), len(cycles)] if cycles else [0]
-    if len({cycles[a] for a in bounds[:-1]}) < len(bounds) - 1:
-        return None
-    return cycles, times, voltages, bounds
+    battery_ids = {token.strip() for token in set(tokens[0::n_cols])}
+    if len(battery_ids) > 1:
+        raise ValueError(f"multiple battery ids in one {kind} file: {sorted(battery_ids)}")
+    return tokens
 
 
-def _samples_valid(cycles, times: np.ndarray, voltages: np.ndarray, bounds) -> bool:
-    """Whether every run of samples passes ``CycleRecord.validate``, checked
-    over the whole cell at once: the same comparisons on the same values.
+def _bad_token(csv_text: str, tokens: list[str], columns) -> ValueError:
+    """The error naming the first row with a token its column's type refuses.
+
+    ``columns`` is (name, type) of each column after the battery id; within a
+    row they are tried in that order.
+    """
+    n_cols = len(columns) + 1
+    for row in range(len(tokens) // n_cols):
+        for token, (name, kind) in zip(tokens[row * n_cols + 1:(row + 1) * n_cols], columns):
+            try:
+                kind(token)
+            except ValueError:
+                return ValueError(f"line {_line_no(csv_text, row)}: bad {name} value "
+                                  f"{token.strip()!r}")
+    raise AssertionError("no token is refused")
+
+
+def _check_runs(cycles, times: np.ndarray, voltages: np.ndarray, bounds) -> None:
+    """Raise the message of the first run of samples that fails a check.
 
     Run ``k`` is cycle ``cycles[k]``, samples ``bounds[k]`` to
-    ``bounds[k + 1]``. On False, validating the records one by one raises the
-    first failure's message.
+    ``bounds[k + 1]`` of ``times`` and ``voltages``. Each check is one array
+    operation over every run; a run fails with the first check, in the order
+    of ``messages``, that it fails. The sample checks run on the runs before
+    the first one of the wrong shape.
     """
-    if len(bounds) < 2:
-        return True
-    starts, ends = bounds[:-1], bounds[1:]
-    if min(cycles) < 1 or np.diff(bounds).min() < MIN_SAMPLES_PER_CYCLE:
-        return False
-    if np.any(times[starts] < 0):
-        return False
-    step_down = np.diff(times) <= 0
-    step_down[np.array(ends[:-1], dtype=np.intp) - 1] = False  # from one cycle into the next
-    if np.any(step_down):
-        return False
-    running_max = np.empty_like(voltages)
-    for a, b in zip(starts, ends):
-        np.maximum.accumulate(voltages[a:b], out=running_max[a:b])
-    return not np.any(voltages < running_max - VOLTAGE_TOLERANCE_V)
+    messages = (
+        "cycle index must be positive",
+        "time/voltage length mismatch",
+        f"only {{n}} samples (need >= {MIN_SAMPLES_PER_CYCLE})",
+        "negative time",
+        "time not strictly increasing",
+        f"voltage drops more than {VOLTAGE_TOLERANCE_V * 1000:.0f} mV below its running maximum",
+    )
+    counts = np.diff(bounds)
+    fails = np.zeros((len(messages), len(counts)), dtype=bool)
+    fails[0] = [c < 1 for c in cycles]
+    fails[1] = len(times) != len(voltages)
+    fails[2] = counts < MIN_SAMPLES_PER_CYCLE
+    misshapen = np.flatnonzero(fails[:3].any(axis=0))
+    m = misshapen[0] if len(misshapen) else len(counts)
+    starts = np.array(bounds[:m], dtype=np.intp)
+    t, v = times[:bounds[m]], voltages[:bounds[m]]
+    fails[3, :m] = t[starts] < 0
+    step_down = np.zeros(len(t), dtype=bool)
+    step_down[1:] = np.diff(t) <= 0
+    step_down[starts] = False  # from one cycle into the next
+    fails[4, :m] = np.logical_or.reduceat(step_down, starts)
+    running_max = np.empty_like(v)
+    for a, b in zip(bounds[:m], bounds[1:m + 1]):
+        np.maximum.accumulate(v[a:b], out=running_max[a:b])
+    fails[5, :m] = np.logical_or.reduceat(v < running_max - VOLTAGE_TOLERANCE_V, starts)
+    failing = np.flatnonzero(fails.any(axis=0))
+    if len(failing):
+        k = failing[0]
+        message = messages[int(np.argmax(fails[:, k]))].format(n=counts[k])
+        raise ValueError(f"cycle {cycles[k]}: {message}")
 
 
 def parse_samples(csv_text: str) -> list[CycleRecord]:
     """Parse a samples CSV into per-cycle records (capacity unfilled).
 
-    Rows are grouped by cycle index; within each cycle, times must already be
-    strictly increasing (out-of-order data is an error, not silently sorted).
-    Each record is validated here, once.
+    Rows are grouped by cycle index, in order of first appearance; within each
+    cycle, times must already be strictly increasing (out-of-order data is an
+    error, not silently sorted). The records are validated here, once.
     """
-    columns = _sample_columns(csv_text)
-    if columns is None:
-        records = [CycleRecord(cycle_index=cyc, times=times, voltages=voltages)
-                   for cyc, times, voltages in _sample_runs_by_line(csv_text)]
-        valid = False
-    else:
-        cycles, times, voltages, bounds = columns
-        records = [CycleRecord(cycle_index=cycles[a], times=tuple(times[a:b]),
-                               voltages=tuple(voltages[a:b]))
-                   for a, b in zip(bounds, bounds[1:])]
-        valid = _samples_valid([r.cycle_index for r in records], np.array(times),
-                               np.array(voltages), bounds)
-    if not valid:
-        for rec in records:
-            rec.validate()
-    return records
+    tokens = _csv_tokens(csv_text, SAMPLES_HEADER, "samples")
+    cycle_tokens = tokens[1::4]
+    try:
+        value_of = {token: int(token) for token in dict.fromkeys(cycle_tokens)}
+        times = list(map(float, tokens[2::4]))
+        voltages = list(map(float, tokens[3::4]))
+    except ValueError:
+        raise _bad_token(csv_text, tokens, _SAMPLE_COLUMNS) from None
+    del tokens
+    # Spellings of one cycle number share the code of its first appearance.
+    code_of: dict[int, int] = {}
+    token_code = {token: code_of.setdefault(value, len(code_of))
+                  for token, value in value_of.items()}
+    codes = np.fromiter(map(token_code.__getitem__, cycle_tokens), np.intp, len(cycle_tokens))
+    del cycle_tokens
+    t, v = np.array(times), np.array(voltages)
+    if np.any(codes[1:] < codes[:-1]):  # a cycle's rows are split up: gather them
+        order = np.argsort(codes, kind="stable")
+        t, v = t[order], v[order]
+        times, voltages = t.tolist(), v.tolist()
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(code_of))).tolist()]
+    cycles = list(code_of)
+    _check_runs(cycles, t, v, bounds)
+    return [CycleRecord(cycle_index=c, times=tuple(times[a:b]), voltages=tuple(voltages[a:b]))
+            for c, a, b in zip(cycles, bounds, bounds[1:])]
 
 
 def parse_capacity(csv_text: str) -> dict[int, float]:
-    """Parse a capacity CSV into {cycle_index: discharge_capacity_mah}."""
-    rows = _split_csv(csv_text, CAPACITY_HEADER)
+    """Parse a capacity CSV into {cycle_index: discharge_capacity_mah}.
+
+    Rows are checked in file order: their tokens, then a repeated cycle, a
+    non-positive and a non-finite capacity.
+    """
+    tokens = _csv_tokens(csv_text, CAPACITY_HEADER, "capacity")
     capacities: dict[int, float] = {}
-    for line_no, parts in rows:
-        cyc = _parse_int(parts[1], line_no, "cycle")
-        cap = _parse_float(parts[2], line_no, "discharge_capacity_mah")
-        if cyc in capacities:
-            raise ValueError(f"line {line_no}: duplicate capacity for cycle {cyc}")
-        if cap <= 0:
-            raise ValueError(f"line {line_no}: non-positive capacity for cycle {cyc}")
+    for row, (cyc, cap) in enumerate(zip(tokens[1::3], tokens[2::3])):
+        try:
+            cyc, cap = int(cyc), float(cap)
+        except ValueError:
+            raise _bad_token(csv_text, tokens, _CAPACITY_COLUMNS) from None
+        fault = ("duplicate" if cyc in capacities else "non-positive" if cap <= 0
+                 else None if math.isfinite(cap) else "non-finite")
+        if fault:
+            raise ValueError(f"line {_line_no(csv_text, row)}: {fault} capacity for cycle {cyc}")
         capacities[cyc] = cap
     return capacities
 
@@ -343,7 +315,7 @@ def assemble_dataset(
         nominal_capacity=nominal_capacity,
         cycles=tuple(filled),
     )
-    ds.validate(samples=False)
+    ds.validate()
     return ds
 
 
@@ -520,7 +492,8 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
         for c, a, b, cap in zip(cycle_nos, bounds, bounds[1:], q.tolist())
     )
     ds = Dataset(battery_id="synthetic", nominal_capacity=cfg.q0, cycles=cycles)
-    ds.validate(samples=not _samples_valid(cycle_nos, tau, voltage, bounds))
+    _check_runs(cycle_nos, tau, voltage, bounds)
+    ds.validate()
     return ds
 
 

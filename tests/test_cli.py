@@ -241,6 +241,13 @@ def inputs(tmp_path_factory):
     lines[1] = ",".join([cycle, *["1e308"] * n, target])
     (d / "huge_features.csv").write_text("\n".join(lines) + "\n")
     (d / "empty.csv").write_text("")
+    # capacity files with a second battery id, and with a NaN or infinite capacity
+    header, *rows = (d / "capacity.csv").read_text().splitlines()
+    two_ids = rows[:-10] + [row.replace("synthetic", "other") for row in rows[-10:]]
+    (d / "capacity_two_ids.csv").write_text("\n".join([header, *two_ids]) + "\n")
+    for value in ("nan", "inf"):
+        bad = rows[:12] + [rows[12].rsplit(",", 1)[0] + "," + value] + rows[13:]
+        (d / f"capacity_{value}.csv").write_text("\n".join([header, *bad]) + "\n")
     (d / "deep.json").write_text("[" * 200_000)
     # A valid model file of every kind, named after the kind.
     matrix = features.matrix_from_csv((d / "features.csv").read_text())
@@ -332,6 +339,12 @@ MALFORMED = [
       "--out", "@out.json"], 4),
     (["predict", "--model", "@list.json", "--input", "@scalar.json"], 4),
     (["features", *DATASET, "--segments", "@list.json", "--out", "@out.csv"], 4),
+    *[(args, 4) for capacity in ("capacity_two_ids.csv", "capacity_nan.csv", "capacity_inf.csv")
+      for args in (
+        ["segment", "--samples", "@samples.csv", "--capacity", f"@{capacity}", "--out", "@out.json"],
+        ["features", "--samples", "@samples.csv", "--capacity", f"@{capacity}",
+         "--segments", "@segments.json", "--out", "@out.csv"],
+    )],
     (["predict", "--model", "@model.json", "--input", "@scalar.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@dict_vector.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@short_vector.json"], 4),

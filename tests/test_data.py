@@ -75,6 +75,19 @@ def test_parse_capacity_basic_and_errors():
         data.parse_capacity("battery_id,cycle,discharge_capacity_mah\nb,1,0\n")
 
 
+def test_parse_capacity_rejects_a_second_battery_id():
+    text = "battery_id,cycle,discharge_capacity_mah\nb,1,170\nb,2,169.5\nother,3,169\n"
+    with pytest.raises(ValueError, match=r"battery ids in one capacity file: \['b', 'other'\]"):
+        data.parse_capacity(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity"])
+def test_parse_capacity_rejects_non_finite_capacity(value):
+    text = f"battery_id,cycle,discharge_capacity_mah\nb,1,170\n\nb,2,{value}\nb,3,169\n"
+    with pytest.raises(ValueError, match=r"^line 4: non-finite capacity for cycle 2$"):
+        data.parse_capacity(text)
+
+
 def test_assemble_dataset_joins_and_sorts():
     records = data.parse_samples(SAMPLES_2x11)[::-1]  # out of order
     caps = {1: 170.0, 2: 169.0}

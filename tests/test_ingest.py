@@ -14,8 +14,8 @@ from batcap import data, features
 from batcap.data import (
     _POST_FADE_S, _POST_JITTER_S_PER_V, _POST_WOBBLE, _PRE_FADE_S, _PRE_JITTER_S_PER_V,
     _PRE_WOBBLE, _PLATEAU_HALF_WIDTH_V, _SAMPLE_DT_S, _T_PLATEAU_FRESH_S, _T_POST_S, _T_PRE_S,
-    _V_END_DRIFT, _V_END_OFFSET, _V_START_OFFSET, SAMPLES_HEADER, CycleRecord, Dataset,
-    SynthConfig,
+    _V_END_DRIFT, _V_END_OFFSET, _V_START_OFFSET, CAPACITY_HEADER, SAMPLES_HEADER, CycleRecord,
+    Dataset, SynthConfig,
 )
 from batcap.features import LineFit, VoltageSegments
 from batcap.rng import Rng, derive_seed
@@ -84,6 +84,21 @@ def _ref_parse_samples(csv_text: str) -> list[CycleRecord]:
         rec.validate()
         records.append(rec)
     return records
+
+
+def _ref_parse_capacity(csv_text: str) -> dict[int, float]:
+    """Parse a capacity CSV into {cycle_index: discharge_capacity_mah}."""
+    rows = _ref_split_csv(csv_text, CAPACITY_HEADER)
+    capacities: dict[int, float] = {}
+    for line_no, parts in rows:
+        cyc = _ref_parse_int(parts[1], line_no, "cycle")
+        cap = _ref_parse_float(parts[2], line_no, "discharge_capacity_mah")
+        if cyc in capacities:
+            raise ValueError(f"line {line_no}: duplicate capacity for cycle {cyc}")
+        if cap <= 0:
+            raise ValueError(f"line {line_no}: non-positive capacity for cycle {cyc}")
+        capacities[cyc] = cap
+    return capacities
 
 
 def _ref_sniff_battery_id(csv_text: str) -> str | None:
@@ -392,6 +407,7 @@ ACCEPTED = {
     "header_only_no_newline": SAMPLES_HEADER,
     "header_then_blank_lines": SAMPLES_HEADER + "\n\n  \n",
     "one_cycle_many_samples": _csv(_rows([5] * 400)),
+    "interleaved_huge_cycle_number": _csv(_rows([10 ** 30] * 6 + [1] * 11 + [10 ** 30] * 5)),
 }
 
 REJECTED = {
@@ -420,6 +436,17 @@ REJECTED = {
     "interleaved_times_backwards": _csv(_rows([1] * 6 + [2] * 11) + _rows([1] * 5)),
     "repeated_cycle_too_short": _csv(_rows([1] * 4 + [2] * 11 + [1] * 4)),
     "validation_after_interleaving": _csv(_rows([2] * 11 + [1] * 3 + [3] * 11 + [1] * 3)),
+    "blank_lines_before_bad_token": _csv(["", "  ", *_two_cycles()[:6], "\t", "",
+                                          *_replace(_two_cycles()[6:], 3, "b,1,x,3.09")]),
+    "crlf_blank_lines_before_bad_token": _csv(["", " ", *_replace(_two_cycles(), 8, "b,1,80,v")],
+                                              newline="\r\n"),
+    "blank_lines_before_wrong_column_count": _csv(["", *_two_cycles()[:4], " ", "",
+                                                   *_replace(_two_cycles()[4:], 2, "b,1,60")]),
+    "crlf_blank_lines_before_wrong_column_count": _csv(
+        [" ", "", *_replace(_two_cycles(), 9, "b,1,90,3.09,0")], newline="\r\n"),
+    "voltage_dip_before_a_short_cycle": _csv(_replace(_rows([1] * 11 + [2] * 5), 6, "b,1,60,3.0")),
+    "bad_token_after_interleaving": _csv(_replace(_rows([1] * 6 + [2] * 11 + [1] * 5), 19,
+                                                  "b,1,80,3.08v")),
 }
 
 
@@ -485,11 +512,65 @@ def test_grid_counts_match_the_sample_loop_at_the_boundaries():
 def test_a_valid_file_is_validated_as_arrays_once(monkeypatch):
     text = _ref_samples_csv(_ref_synth_dataset(SynthConfig(n_cycles=40)))
     capacity = data.capacity_csv(data.synth_dataset(SynthConfig(n_cycles=40)))
+    check_runs = data._check_runs
+    calls = []
+
+    def counted(cycles, *args):
+        calls.append(list(cycles))
+        check_runs(cycles, *args)
 
     def per_record(self):
         raise AssertionError("a valid file went through the per-record checks")
 
-    monkeypatch.setattr(CycleRecord, "_validate_samples", per_record)
+    monkeypatch.setattr(data, "_check_runs", counted)
+    monkeypatch.setattr(CycleRecord, "validate", per_record)
     records = data.parse_samples(text)
     ds = data.assemble_dataset(records, data.parse_capacity(capacity), "synthetic", 170.0)
     assert len(ds) == 40
+    assert calls == [list(range(1, 41))]
+
+
+def _capacity_csv(rows, newline="\n"):
+    return _csv([f"b,{cyc},{cap}" for cyc, cap in rows], CAPACITY_HEADER, newline)
+
+
+CAPACITIES = [(c, 171 - c) for c in range(1, 8)]
+
+CAPACITY_ACCEPTED = {
+    "plain": _capacity_csv(CAPACITIES),
+    "crlf_blank_lines": _capacity_csv(CAPACITIES, newline="\r\n").replace("b,3", "\r\n \r\nb,3"),
+    "padded_tokens": _capacity_csv([(f" {c} ", f"{q} ") for c, q in CAPACITIES]),
+    "header_only": CAPACITY_HEADER + "\n",
+}
+
+CAPACITY_REJECTED = {
+    "empty": "",
+    "wrong_header": _csv([], "battery_id,cycle,capacity"),
+    "blank_lines_before_wrong_column_count": _capacity_csv(CAPACITIES).replace(
+        "b,5,166", "\n \nb,5"),
+    "blank_lines_before_bad_cycle": _capacity_csv(CAPACITIES).replace("b,4,", "\n\t\nb,four,"),
+    "crlf_blank_lines_before_bad_capacity": _capacity_csv(
+        [*CAPACITIES[:2], (3, "x"), *CAPACITIES[3:]], newline="\r\n").replace("b,2", "\r\nb,2"),
+    "bad_cycle_and_capacity_in_one_row": _capacity_csv([*CAPACITIES[:3], ("1.0", "high")]),
+    "duplicate": _capacity_csv([*CAPACITIES, (3, 150)]),
+    "duplicate_spelled_differently": _capacity_csv([*CAPACITIES, ("03", 150)]),
+    "duplicate_before_bad_token": _capacity_csv([*CAPACITIES, (2, 150), ("x", 149)]),
+    "zero": _capacity_csv([*CAPACITIES[:4], (5, 0), *CAPACITIES[5:]]),
+    "negative": _capacity_csv([(1, -170), *CAPACITIES[1:]]),
+    "negative_infinity": _capacity_csv([*CAPACITIES, (8, "-inf")]),
+}
+
+
+@pytest.mark.parametrize("text", list(CAPACITY_ACCEPTED.values()), ids=list(CAPACITY_ACCEPTED))
+def test_parse_capacity_matches_the_reference(text):
+    got, expected = data.parse_capacity(text), _ref_parse_capacity(text)
+    assert got == expected and list(got) == list(expected)
+
+
+@pytest.mark.parametrize("text", list(CAPACITY_REJECTED.values()), ids=list(CAPACITY_REJECTED))
+def test_parse_capacity_raises_the_reference_message(text):
+    with pytest.raises(ValueError) as expected:
+        _ref_parse_capacity(text)
+    with pytest.raises(ValueError) as got:
+        data.parse_capacity(text)
+    assert str(got.value) == str(expected.value)
