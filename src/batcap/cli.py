@@ -93,6 +93,14 @@ def _write_artifact(obj: dict, schema_name: str, path: str) -> None:
     dump_json(obj, path)
 
 
+def _parsed(parse, text: str, path: str):
+    """parse(text), exiting 4 with the file named on a parse error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(4, f"{path}: {exc}") from None
+
+
 def _load_dataset(args) -> data.Dataset:
     samples_text = _require_file(args.samples).read_text(encoding="utf-8")
     capacity_text = _require_file(args.capacity).read_text(encoding="utf-8")
@@ -100,8 +108,8 @@ def _load_dataset(args) -> data.Dataset:
     cid = data.sniff_battery_id(capacity_text)
     if sid is not None and cid is not None and sid != cid:
         raise CliError(4, f"inconsistent battery_id: {sid!r} vs {cid!r}")
-    records = data.parse_samples(samples_text)
-    capacities = data.parse_capacity(capacity_text)
+    records = _parsed(data.parse_samples, samples_text, args.samples)
+    capacities = _parsed(data.parse_capacity, capacity_text, args.capacity)
     return data.assemble_dataset(records, capacities, sid or "unknown", args.nominal)
 
 

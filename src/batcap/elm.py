@@ -118,7 +118,7 @@ def elm_solve_beta(H: np.ndarray, T: np.ndarray) -> np.ndarray:
     return vt.T @ (inv_s[:, None] * (u.T @ T))
 
 
-def residual_lower_bounds(H: np.ndarray, T: np.ndarray) -> np.ndarray:
+def residual_lower_bounds(H: np.ndarray, T: np.ndarray, above: float = np.inf) -> np.ndarray:
     """Lower bounds on ||H_k beta_k - T|| for a stack H of shape (pop, n, l).
 
     beta_k is what elm_solve_beta returns for H_k, and the norm is the
@@ -152,6 +152,18 @@ def residual_lower_bounds(H: np.ndarray, T: np.ndarray) -> np.ndarray:
     stacks of tests/test_elm.py, and at most 0.03 over every whale of
     30 x 40 WOA-ELM fits on 13 and 2 inputs, sigmoid and tanh.
 
+    Two stages. Since kappa_eff <= 1 / SVD_CUTOFF, the capped bound
+    |R[l, l]| - C * u * ||T|| / SVD_CUTOFF needs no SVD and is a valid lower
+    bound too. It is never above the bound with kappa_eff: the computed
+    kappa is at most the rounded 1 / SVD_CUTOFF (the rounding of
+    SVD_CUTOFF * sigma_1 moves the quotient by less than half an ulp), and
+    both are taken through the same operations in the same order. Every
+    stack first gets the capped bound. A stack whose capped bound is at or
+    above ``above`` keeps it; the caller has decided it already. The
+    others, and NaN ones, get the bound with kappa_eff from the singular
+    values of R[:l, :l], bit for bit as with ``above = inf``, which takes
+    the SVD for every stack.
+
     A caller in RMSE units multiplies by span / sqrt(n), where
     span = target_max - target_min. Unscaling the predictions
     (y * span + target_min) and taking the RMSE add an absolute error of
@@ -168,10 +180,16 @@ def residual_lower_bounds(H: np.ndarray, T: np.ndarray) -> np.ndarray:
         return np.full(pop, -np.inf)
     aug = np.concatenate([H, np.broadcast_to(T[None, :, None], (pop, n, 1))], axis=2)
     R = np.linalg.qr(aug, mode="r")
-    s = np.linalg.svd(R[:, :l, :l], compute_uv=False)
-    with np.errstate(invalid="ignore"):  # sigma_1 = 0 gives NaN: evaluate
-        kappa = s[:, 0] / np.maximum(s[:, -1], SVD_CUTOFF * s[:, 0])
-    return np.abs(R[:, l, l]) - BOUND_SAFETY * UNIT_ROUNDOFF * kappa * np.linalg.norm(T)
+    residual = np.abs(R[:, l, l])
+    t_norm = np.linalg.norm(T)
+    bounds = residual - BOUND_SAFETY * UNIT_ROUNDOFF * (1.0 / SVD_CUTOFF) * t_norm
+    undecided = ~(bounds >= above)
+    if undecided.any():
+        s = np.linalg.svd(R[undecided, :l, :l], compute_uv=False)
+        with np.errstate(invalid="ignore"):  # sigma_1 = 0 gives NaN: evaluate
+            kappa = s[:, 0] / np.maximum(s[:, -1], SVD_CUTOFF * s[:, 0])
+        bounds[undecided] = residual[undecided] - BOUND_SAFETY * UNIT_ROUNDOFF * kappa * t_norm
+    return bounds
 
 
 def elm_fit(X: np.ndarray, y: np.ndarray, hidden_l: int = 40,

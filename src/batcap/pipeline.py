@@ -6,8 +6,10 @@ ELM obtained by re-solving the output weights at that position. Each
 iteration first bounds every whale's training RMSE from below with one
 batched QR of the population's hidden layers (elm.residual_lower_bounds),
 and the exact SVD fitness runs only for whales whose bound is below the best
-so far; the others could not have changed the result. The winning position
-is retrained on the full training set.
+so far; the others could not have changed the result. The bound is taken in
+two stages: a capped bound that needs no SVD, then the singular values of R
+only for the whales that the capped bound leaves below the best. The winning
+position is retrained on the full training set.
 """
 
 from __future__ import annotations
@@ -95,10 +97,14 @@ def woa_elm_train(X: np.ndarray, y: np.ndarray,
     to_rmse = span / math.sqrt(len(ys)) * (1.0 - BOUND_SAFETY * UNIT_ROUNDOFF)
     rmse_slack = BOUND_SAFETY * UNIT_ROUNDOFF * max(abs(norm.target_min), abs(norm.target_max))
 
-    def fitness_floor(positions: np.ndarray) -> np.ndarray:
+    def fitness_floor(positions: np.ndarray, best: float) -> np.ndarray:
         omegas, biases = decode_position(positions, n_inputs, cfg.hidden_l)
         H = elm_hidden(Xs, omegas, biases, cfg.activation)
-        return residual_lower_bounds(H, ys) * to_rmse - rmse_slack
+        # The best RMSE in residual units: stacks bounded at or above it need
+        # no SVD. Rounding here moves only where the SVD runs; every value
+        # returned is a valid bound either way.
+        above = (best + rmse_slack) / to_rmse
+        return residual_lower_bounds(H, ys, above) * to_rmse - rmse_slack
 
     woa_cfg = WoaConfig(
         dim=dim,

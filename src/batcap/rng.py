@@ -8,6 +8,16 @@ platforms and numpy versions.
 ``uniform_lanes`` steps many independent streams together as numpy
 ``uint64`` arrays, whose arithmetic is modulo 2**64 and wraps the same way on
 every platform, so each lane yields exactly the values of the scalar stream.
+``derive_seeds`` folds seeds the same way, one lane per element of its
+integer array parts.
+
+Lane layout. The four xoshiro words are four contiguous ``(lanes,)``
+vectors, and every step runs as in-place ufuncs on them, so a step allocates
+nothing. Step ``i`` writes row ``i`` of an ``(n, lanes)`` buffer, one
+contiguous row per step. The conversion to float transposes once, into a
+C-contiguous ``(lanes, n)`` array: callers get one row per seed, and a
+strided view would not do, because a BLAS product over rows (``woa``'s gate
+norms) can round differently on a non-contiguous operand.
 """
 
 from __future__ import annotations
@@ -22,6 +32,9 @@ _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
+_U_GAMMA, _U_MUL1, _U_MUL2 = (np.uint64(c) for c in (_SM_GAMMA, _SM_MUL1, _SM_MUL2))
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_SEED_START = 0x6A09E667F3BCC908  # derive_seed's arbitrary non-zero start (sqrt(2) bits)
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -34,6 +47,36 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
+def _splitmix64_lanes(state: np.ndarray) -> np.ndarray:
+    """Advance uint64 SplitMix64 states in place; return their outputs.
+
+    Whole-array uint64 arithmetic wraps modulo 2**64, as _splitmix64 masks.
+    """
+    state += _U_GAMMA
+    z = state ^ (state >> _U30)
+    z *= _U_MUL1
+    z ^= z >> _U27
+    z *= _U_MUL2
+    z ^= z >> _U31
+    return z
+
+
+def _seed_words(part: int | str) -> list[int]:
+    """Strings as length-prefixed little-endian 8-byte words; ints as one word."""
+    if not isinstance(part, str):
+        return [int(part) & _MASK64]
+    raw = part.encode("utf-8")
+    return [len(raw)] + [int.from_bytes(raw[i:i + 8], "little") for i in range(0, len(raw), 8)]
+
+
+def _fold(h: int, parts) -> int:
+    for part in parts:
+        for word in _seed_words(part):
+            h, out = _splitmix64((h ^ word) & _MASK64)
+            h ^= out
+    return h
+
+
 def derive_seed(*parts: int | str) -> int:
     """Fold integers and strings into a 64-bit stream seed.
 
@@ -42,20 +85,29 @@ def derive_seed(*parts: int | str) -> int:
     Strings are absorbed as length-prefixed little-endian 8-byte words so no
     two distinct inputs collide by concatenation.
     """
-    h = 0x6A09E667F3BCC908  # arbitrary non-zero start (sqrt(2) bits)
-    for part in parts:
-        if isinstance(part, str):
-            raw = part.encode("utf-8")
-            words = [len(raw)]
-            for i in range(0, len(raw), 8):
-                words.append(int.from_bytes(raw[i:i + 8], "little"))
-        else:
-            words = [int(part) & _MASK64]
-        for word in words:
-            h, out = _splitmix64((h ^ word) & _MASK64)
-            h ^= out
-    _, out = _splitmix64(h)
+    _, out = _splitmix64(_fold(_SEED_START, parts))
     return out
+
+
+def derive_seeds(*parts) -> np.ndarray:
+    """derive_seed over integer arrays: one uint64 seed per broadcast element.
+
+    Parts are ints, strings or non-negative integer arrays of at least one
+    dimension, which broadcast together; at least one part is an array.
+    Element ``idx`` of the result equals ``derive_seed`` of the parts with
+    each array replaced by its element at ``idx``. The parts before the first
+    array are folded once in Python, the rest as uint64 SplitMix64 over all
+    elements at once.
+    """
+    first = next(k for k, part in enumerate(parts) if isinstance(part, np.ndarray))
+    shape = np.broadcast_shapes(*(p.shape for p in parts if isinstance(p, np.ndarray)))
+    h = np.full(shape, _fold(_SEED_START, parts[:first]), dtype=np.uint64)
+    for part in parts[first:]:
+        words = [part.astype(np.uint64)] if isinstance(part, np.ndarray) else _seed_words(part)
+        for word in words:
+            state = h ^ word
+            h = state ^ _splitmix64_lanes(state)
+    return _splitmix64_lanes(h)
 
 
 def _rotl(x: int, k: int) -> int:
@@ -152,33 +204,37 @@ def uniform_lanes(seeds, n: int) -> np.ndarray:
     """Uniforms in [0, 1) from many streams at once, one row per seed.
 
     Row ``j`` equals ``Rng(seeds[j]).uniforms(n)`` bit for bit: every lane is
-    seeded as ``Rng`` seeds it and all lanes advance together.
+    seeded as ``Rng`` seeds it and all lanes advance together. The result is
+    a C-contiguous float64 array of shape ``(len(seeds), n)``.
     """
     sm = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
-    state = np.empty((4, len(sm)), dtype=np.uint64)
-    for k in range(4):
-        # SplitMix64 on whole arrays; uint64 products wrap modulo 2**64.
-        sm += np.uint64(_SM_GAMMA)
-        z = (sm ^ (sm >> np.uint64(30))) * np.uint64(_SM_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MUL2)
-        state[k] = z ^ (z >> np.uint64(31))
-    s0, s1, s2, s3 = state
-
-    def rotl(x, k):
-        return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-    raw = np.empty((len(sm), n), dtype=np.uint64)
-    for i in range(n):
-        np.add(rotl(s0 + s3, 23), s0, out=raw[:, i])
-        t = s1 << np.uint64(17)
+    lanes = len(sm)
+    s0, s1, s2, s3 = (_splitmix64_lanes(sm) for _ in range(4))
+    u11, u17, u19, u23, u41, u45 = (np.uint64(k) for k in (11, 17, 19, 23, 41, 45))
+    t = np.empty(lanes, dtype=np.uint64)
+    spill = np.empty(lanes, dtype=np.uint64)
+    raw = np.empty((n, lanes), dtype=np.uint64)
+    for row in raw:
+        # row = rotl(s0 + s3, 23) + s0
+        np.add(s0, s3, out=t)
+        np.left_shift(t, u23, out=spill)
+        np.right_shift(t, u41, out=t)
+        t |= spill
+        np.add(t, s0, out=row)
+        np.left_shift(s1, u17, out=t)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3[:] = rotl(s3, 45)
-    raw >>= np.uint64(11)
-    return raw * 2.0 ** -53
+        # s3 = rotl(s3, 45)
+        np.left_shift(s3, u45, out=spill)
+        s3 >>= u19
+        s3 |= spill
+    raw >>= u11
+    out = np.empty((lanes, n))
+    np.multiply(raw.T, 2.0 ** -53, out=out)
+    return out
 
 
 def normal_lanes(seeds, sds) -> np.ndarray:

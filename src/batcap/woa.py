@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import Rng, derive_seed, uniform_lanes
+from .rng import Rng, derive_seed, derive_seeds, uniform_lanes
 
 # Iterations whose whale streams are drawn together: pop_size * BLOCK lanes
 # of 2 * dim + 3 uniforms each (about 2 MB for 30 whales at dim 560).
@@ -109,12 +109,16 @@ def woa_optimize(f, cfg: WoaConfig, lower_bound=None) -> WoaResult:
     clipped to the box once per iteration. The best-so-far agent is never
     discarded, so the cost history is non-increasing.
 
-    lower_bound, if given, maps the (pop, dim) positions of an iteration to
-    one value per whale that f(x) is never below; NaN means unknown. A whale
-    is evaluated only if its bound is below the running best: a cost is read
-    only to ask whether it sets a new best, so skipping the others leaves
-    history, best_cost and best_position bit-identical. The initial
-    population is always evaluated in full.
+    lower_bound, if given, is called as lower_bound(positions, best) once
+    per iteration, with the (pop, dim) positions of the iteration and the
+    best cost at its start. It returns one value per whale that f(x) is
+    never below; NaN means unknown. A whale is evaluated only if its bound
+    is below the running best: a cost is read only to ask whether it sets a
+    new best, so skipping the others leaves history, best_cost and
+    best_position bit-identical. The running best only falls within an
+    iteration, so a bound need only be tight where it is below ``best``: a
+    bound already at or above ``best`` decides its whale however loose it
+    is. The initial population is always evaluated in full.
     """
     cfg.validate()
     lo = np.array([b[0] for b in cfg.bounds])
@@ -133,11 +137,9 @@ def woa_optimize(f, cfg: WoaConfig, lower_bound=None) -> WoaResult:
         if t % BLOCK == 0:
             # A whale's stream depends only on (seed, whale, iteration), so a
             # block of iterations is drawn before any of its positions exist.
-            block = range(t, min(t + BLOCK, cfg.t_max))
-            draws = uniform_lanes(
-                [derive_seed(cfg.seed, "whale", i, "iter", k) for k in block for i in range(pop)],
-                2 * dim + 3,
-            ).reshape(len(block), pop, 2 * dim + 3)
+            block = np.arange(t, min(t + BLOCK, cfg.t_max))
+            seeds = derive_seeds(cfg.seed, "whale", np.arange(pop), "iter", block[:, None])
+            draws = uniform_lanes(seeds.ravel(), 2 * dim + 3).reshape(len(block), pop, 2 * dim + 3)
         # Row i holds the same values, in the same stream order, as whale i's
         # Rng.uniforms(dim) twice, uniform(), uniform(-1, 1) and below(pop).
         u = draws[t % BLOCK]
@@ -151,7 +153,8 @@ def woa_optimize(f, cfg: WoaConfig, lower_bound=None) -> WoaResult:
                      random_search_step(positions, positions[rand_idx], A, C)),
             spiral_step(positions, best_pos, cfg.spiral_b, spiral_l))
         positions = np.clip(new_positions, lo, hi, out=new_positions)
-        floors = np.full(pop, np.nan) if lower_bound is None else lower_bound(positions)
+        floors = (np.full(pop, np.nan) if lower_bound is None
+                  else lower_bound(positions, best_cost))
         for i in range(pop):
             if floors[i] >= best_cost:
                 continue

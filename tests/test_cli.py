@@ -248,6 +248,10 @@ def inputs(tmp_path_factory):
     for value in ("nan", "inf"):
         bad = rows[:12] + [rows[12].rsplit(",", 1)[0] + "," + value] + rows[13:]
         (d / f"capacity_{value}.csv").write_text("\n".join([header, *bad]) + "\n")
+    header, first, *rows = (d / "samples.csv").read_text().splitlines()
+    battery, cycle, _, voltage = first.split(",")
+    (d / "samples_bad_time.csv").write_text(
+        "\n".join([header, f"{battery},{cycle},x,{voltage}", *rows]) + "\n")
     (d / "deep.json").write_text("[" * 200_000)
     # A valid model file of every kind, named after the kind.
     matrix = features.matrix_from_csv((d / "features.csv").read_text())
@@ -425,6 +429,22 @@ def test_fuse_checks_force_dim_before_any_work(inputs, capsys, monkeypatch):
                 "--out", "@out.json"]
         assert main(_expand(inputs, args)) == 2
         assert "--force-dim 3 not among requested dims (1, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "features"])
+@pytest.mark.parametrize("samples,capacity,bad,message", [
+    ("samples.csv", "capacity_nan.csv", "capacity_nan.csv",
+     "line 14: non-finite capacity for cycle 13"),
+    ("samples_bad_time.csv", "capacity.csv", "samples_bad_time.csv",
+     "line 2: bad time_s value 'x'"),
+])
+def test_dataset_parse_errors_name_the_file(inputs, command, samples, capacity, bad, message,
+                                            capsys):
+    args = [command, "--samples", f"@{samples}", "--capacity", f"@{capacity}", "--out", "@out.x"]
+    if command == "features":
+        args[-2:-2] = ["--segments", "@segments.json"]
+    assert main(_expand(inputs, args)) == 4
+    assert capsys.readouterr().err == f"ERROR 4: {inputs / bad}: {message}\n"
 
 
 @pytest.mark.parametrize("model", ["model.json", "knn_fused.json"])

@@ -241,6 +241,17 @@ def _solved_residuals(H, T):
     return np.array([np.linalg.norm(Hk @ elm.elm_solve_beta(Hk, T)[:, 0] - T) for Hk in H])
 
 
+def _kappa_bounds(H, T):
+    """The single-stage bound: the singular values of R for every stack."""
+    pop, n, l = H.shape
+    aug = np.concatenate([H, np.broadcast_to(T[None, :, None], (pop, n, 1))], axis=2)
+    R = np.linalg.qr(aug, mode="r")
+    s = np.linalg.svd(R[:, :l, :l], compute_uv=False)
+    kappa = s[:, 0] / np.maximum(s[:, -1], elm.SVD_CUTOFF * s[:, 0])
+    return np.abs(R[:, l, l]) - elm.BOUND_SAFETY * elm.UNIT_ROUNDOFF * kappa * np.linalg.norm(T)
+
+
+@pytest.mark.parametrize("above", ["-inf", "mid", "inf"])
 @pytest.mark.parametrize("case", [
     dict(k=1), dict(k=2), dict(k=13),
     dict(k=2, scale=30.0),                 # saturated sigmoids: many columns 0 or 1
@@ -249,21 +260,34 @@ def _solved_residuals(H, T):
     dict(k=13, corner=True),
     dict(k=2, activation="tanh"), dict(k=13, activation="tanh"),
 ])
-def test_residual_lower_bounds_never_exceed_the_solved_residual(case):
+def test_residual_lower_bounds_never_exceed_the_solved_residual(case, above):
     """The bound stays below the rounded residual of elm_solve_beta.
 
     Over these stacks (three seeds each), the largest observed
     (|R[l, l]| - residual) / (u * kappa_eff * ||T||) was 0.096 (tanh at 13
     inputs; 0.043 for saturated sigmoids, 0.010 for plain ones), against the
     allowance's BOUND_SAFETY = 100.
+
+    The capped bound (every stack decided at ``above = -inf``) is never above
+    the bound with kappa_eff, and a stack whose capped bound is below
+    ``above`` gets the kappa_eff bound bit for bit. ``mid`` is the median
+    capped bound, so that both stages run.
     """
     for seed in range(3):
         H, T = _hidden_stack(140, seed=seed, **case)
-        bounds = elm.residual_lower_bounds(H, T)
+        reference = _kappa_bounds(H, T)
+        capped = elm.residual_lower_bounds(H, T, -np.inf)
+        level = {"-inf": -np.inf, "mid": float(np.median(capped)), "inf": np.inf}[above]
+        bounds = elm.residual_lower_bounds(H, T, level)
+        assert np.all(capped <= reference)
+        below = capped < level
+        assert np.array_equal(bounds[below], reference[below])
+        assert np.array_equal(bounds[~below], capped[~below])
         exact = _solved_residuals(H, T)
         assert bounds.shape == (len(H),) and np.all(np.isfinite(bounds))
         assert np.all(bounds <= exact)
         assert np.any(bounds > 0.5 * exact)  # and it is not vacuous
+        assert np.array_equal(elm.residual_lower_bounds(H, T), reference)  # above = inf
 
 
 def test_residual_lower_bounds_decide_nothing_with_rows_at_most_l():

@@ -237,6 +237,41 @@ def test_fitness_floor_leaves_singular_hidden_layers_bit_identical(fit_split, mo
         _assert_same_fit(screened, plain)
 
 
+def _counted_fit(X, y, cfg, monkeypatch):
+    """woa_elm_train's fit and the number of exact fitness evaluations it made."""
+    calls = []
+    optimize = pipeline.woa_optimize
+
+    def counting(f, woa_cfg, lower_bound=None):
+        def counted(x):
+            calls.append(1)
+            return f(x)
+        return optimize(counted, woa_cfg, lower_bound=lower_bound)
+
+    monkeypatch.setattr(pipeline, "woa_optimize", counting)
+    fit = pipeline.woa_elm_train(X, y, cfg)
+    monkeypatch.setattr(pipeline, "woa_optimize", optimize)
+    return fit, len(calls)
+
+
+@pytest.mark.parametrize("inputs", ["full", "fused", "singular"])
+def test_two_stage_screen_evaluates_the_same_whales(fit_split, inputs, monkeypatch):
+    # Against above = inf, which takes the singular values of R for every
+    # whale: the capped first stage must decide no whale differently.
+    X, fused, y = fit_split
+    rows = [i % 20 for i in range(140)]
+    X, y = {"full": (X, y), "fused": (fused, y), "singular": (X[rows], y[rows])}[inputs]
+    one_stage = lambda H, T, above=np.inf: elm.residual_lower_bounds(H, T)  # noqa: E731
+    for seed in (1, 2, 3):
+        cfg = pipeline.TrainConfig(seed=seed, woa_iters=40)
+        two_stage_fit, two_stage_calls = _counted_fit(X, y, cfg, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "residual_lower_bounds", one_stage)
+            one_stage_fit, one_stage_calls = _counted_fit(X, y, cfg, monkeypatch)
+        assert two_stage_calls == one_stage_calls
+        _assert_same_fit(two_stage_fit, one_stage_fit)
+
+
 def test_fused_comparison_report_shape(synth_matrix):
     cfg = pipeline.TrainConfig(hidden_l=15, seed=5, woa_iters=10, woa_pop=8)
     report = pipeline.fused_comparison(synth_matrix, cfg)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from batcap.rng import Rng, derive_seed, normal_lanes, uniform_lanes
+from batcap import woa
+from batcap.rng import Rng, derive_seed, derive_seeds, normal_lanes, uniform_lanes
 
 MASK = (1 << 64) - 1
 
@@ -68,7 +69,10 @@ LANE_SEEDS = [0, 1, 2**63, 2**64 - 1]
 @pytest.mark.parametrize("seeds", [LANE_SEEDS, [2**64 - 1]], ids=["four", "single"])
 def test_uniform_lanes_match_scalar_streams(seeds, n):
     lanes = uniform_lanes(seeds, n)
+    # One C-contiguous row per seed: a BLAS product over the rows of a
+    # strided view (woa's gate norms) can round differently.
     assert lanes.shape == (len(seeds), n)
+    assert lanes.dtype == np.float64 and lanes.flags.c_contiguous
     for seed, row in zip(seeds, lanes):
         assert np.array_equal(row, Rng(seed).uniforms(n))
 
@@ -112,6 +116,16 @@ def test_derive_seed_distinguishes_parts():
         derive_seed(1, "spl", "it"),
     }
     assert len(seeds) == 5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 4, 2**63, 2**64 - 1, -1, -4, -2**63, -2**70])
+def test_derive_seeds_match_derive_seed(seed):
+    # woa's whale seeds: iterations across a BLOCK boundary, a population of 31.
+    iters = range(woa.BLOCK - 3, 2 * woa.BLOCK + 2)
+    got = derive_seeds(seed, "whale", np.arange(31), "iter", np.array(iters)[:, None])
+    expected = [[derive_seed(seed, "whale", i, "iter", k) for i in range(31)] for k in iters]
+    assert got.dtype == np.uint64 and got.tolist() == expected
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))

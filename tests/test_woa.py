@@ -154,7 +154,7 @@ def test_lower_bound_skips_whales_without_changing_the_result():
         calls.append(1)
         return sphere(x)
 
-    def floor(positions):
+    def floor(positions, best):
         # The tightest valid bound, with every third whale unknown (NaN).
         values = np.array([sphere(x) for x in positions])
         values[::3] = np.nan
