@@ -360,6 +360,8 @@ def baseline_from_dict(obj: dict, n_features: int):
                 or model._y.shape != (len(model._X),):
             raise ValueError(f"knn train_x must have {n_features} columns and "
                              "train_y one number per train_x row")
+        if model._means.shape != (n_features,) or model._sds.shape != (n_features,):
+            raise ValueError(f"knn means and sds must each hold {n_features} numbers")
         return model
     if kind == "tree":
         model = RegressionTree()

@@ -8,12 +8,15 @@ environment variable overrides any configured seed.
 
 Errors print a single machine-parsable line ``ERROR <code>: <message>`` on
 stderr: 2 usage, 3 missing file, 4 bad data or schema, 5 internal.
+
+Each subcommand imports the layers it runs inside its ``cmd_*`` function (and
+so do the helpers that need them), so a cold ``predict`` loads only the model
+code. The top of this module imports only what every subcommand shares.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import typing
@@ -21,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attribution, correlation, data, features, fusion, modelio, pipeline
-from .baselines import baseline_fit
-from .elm import elm_fit, elm_predict
+from . import modelio
 from .jsonio import dump_json, format_number, load_json, load_schema, validate_schema
+from .names import FEATURE_NAMES, FEATURE_UNITS
 from .rng import derive_seed
 
 DEFAULT_SEED = 42
@@ -102,6 +104,7 @@ def _parsed(parse, text: str, path: str):
 
 
 def _load_dataset(args) -> data.Dataset:
+    from . import data
     samples_text = _require_file(args.samples).read_text(encoding="utf-8")
     capacity_text = _require_file(args.capacity).read_text(encoding="utf-8")
     sid = data.sniff_battery_id(samples_text)
@@ -138,6 +141,7 @@ def _checked_predictor(model_obj: dict, source: str):
 
 
 def _load_matrix(path: str) -> features.FeatureMatrix:
+    from . import features
     return features.matrix_from_csv(_require_file(path).read_text(encoding="utf-8"))
 
 
@@ -163,6 +167,7 @@ def _split_seed(args, master: int) -> int:
 
 
 def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDataset:
+    from . import data
     if getattr(args, "split_ordered", False):
         return data.split_rows_ordered(n_rows, ratio)
     return data.split_rows(n_rows, ratio, _split_seed(args, master))
@@ -192,10 +197,12 @@ def _config(cls, path: str | None, **fixed):
 
 
 def _train_config(args, master: int) -> pipeline.TrainConfig:
+    from . import pipeline
     return _config(pipeline.TrainConfig, args.config, seed=derive_seed(master, "train"))
 
 
 def cmd_synth(args) -> int:
+    from . import data
     fixed = {}
     if os.environ.get("RUN_SEED") is not None or args.seed is not None:
         fixed["seed"] = derive_seed(_master_seed(args), "synth")
@@ -210,6 +217,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from . import features
     ds = _load_dataset(args)
     master = _master_seed(args)
     split = _make_split(args, master, len(ds), args.ratio)
@@ -224,6 +232,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from . import features
     ds = _load_dataset(args)
     seg = features.segments_from_dict(_load_object(load_json, args.segments))
     matrix = features.build_matrix(ds, seg, target_mode=args.target)
@@ -233,6 +242,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from . import correlation
     matrix = _load_fit_matrix(args.features)
     report = correlation.correlation_report(matrix, rho=args.rho)
     _write_artifact(correlation.report_to_dict(report), "correlation", args.out)
@@ -241,6 +251,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from . import fusion
     force_dim = args.force_dim
     if force_dim is not None and force_dim not in args.dims:
         raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
@@ -251,7 +262,7 @@ def cmd_fuse(args) -> int:
         iterations=args.iterations,
         seed=derive_seed(master, "fuse"),
     )
-    scaled, _, _ = fusion.scale_feature_groups(matrix.X, features.FEATURE_UNITS)
+    scaled, _, _ = fusion.scale_feature_groups(matrix.X, FEATURE_UNITS)
     result = fusion.screen_dimensions(scaled, args.dims, params)
     obj = fusion.screening_to_dict(result, params, force_dim)
     _write_artifact(obj, "fusion", args.out)
@@ -261,6 +272,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import fusion, pipeline
     matrix = _load_fit_matrix(args.features)
     master = _master_seed(args)
     cfg = _train_config(args, master)
@@ -271,7 +283,7 @@ def cmd_train(args) -> int:
     fusion_info = None
     if args.fused:
         params = fusion.TsneParams(seed=derive_seed(master, "fuse"))
-        scaled, means, scales = fusion.scale_feature_groups(X_train, features.FEATURE_UNITS)
+        scaled, means, scales = fusion.scale_feature_groups(X_train, FEATURE_UNITS)
         embedding = fusion.tsne_embed(scaled, pipeline.FUSED_DIM, params)
         fusion_info = modelio.fusion_section(means, scales, scaled, embedding.Y)
         X_train = embedding.Y
@@ -293,6 +305,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import pipeline
     matrix = _load_matrix(args.features)
     model_obj = _load_object(modelio.load_model, args.model)
     master = _master_seed(args)
@@ -313,6 +326,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import pipeline
+    from .baselines import baseline_fit
+    from .elm import elm_fit, elm_predict
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise CliError(2, "--models names no model")
@@ -349,6 +365,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_shap(args) -> int:
+    from . import attribution
     matrix = _load_matrix(args.features)
     model_obj = _load_object(modelio.load_model, args.model)
     master = _master_seed(args)
@@ -368,8 +385,8 @@ def cmd_shap(args) -> int:
 def cmd_predict(args) -> int:
     model_obj = _load_object(modelio.load_model, args.model)
     payload = load_json(_require_file(args.input))
-    vector = payload["features"] if isinstance(payload, dict) else payload
-    n = len(features.FEATURE_NAMES)
+    vector = payload.get("features") if isinstance(payload, dict) else payload
+    n = len(FEATURE_NAMES)
     if not isinstance(vector, list) or len(vector) != n:
         raise CliError(4, f"{args.input}: expected a list of {n} feature values")
     if not all(type(v) in (int, float) for v in vector):  # bool is not a number here
@@ -387,6 +404,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    from . import pipeline
     matrix = _load_fit_matrix(args.features)
     master = _master_seed(args)
     cfg = _train_config(args, master)
@@ -512,7 +530,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"ERROR 3: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"ERROR 4: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # pragma: no cover - defensive

@@ -275,6 +275,10 @@ def elm_from_dict(obj: dict) -> ElmModel:
         raise ValueError(f"omega must be a matrix of l = {hidden_l} rows")
     if bias.shape != (hidden_l,) or beta.shape != (hidden_l,):
         raise ValueError(f"b and beta must each hold l = {hidden_l} numbers")
+    n_inputs = omega.shape[1]
+    if norm.feat_means.shape != (n_inputs,) or norm.feat_sds.shape != (n_inputs,):
+        raise ValueError(f"norm means and sds must each hold {n_inputs} numbers, "
+                         "one per omega column")
     return ElmModel(
         omega=omega,
         bias=bias,

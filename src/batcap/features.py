@@ -23,16 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CycleRecord, Dataset
-
-FEATURE_NAMES = tuple(f"F{i}" for i in range(1, 14))
-
-# Physical unit of each feature; consumers that need distances across the
-# feature space (fusion) scale columns per unit group rather than per column.
-FEATURE_UNITS = (
-    "volt", "volt", "second", "volt_per_second", "volt",
-    "second", "second", "second", "second", "second",
-    "volt", "second", "volt",
-)
+# Both names stay importable from here; they live in the leaf module.
+from .names import FEATURE_NAMES, FEATURE_UNITS
 
 _SMOOTH_WINDOW = 5  # centered moving average applied to dV/dt
 

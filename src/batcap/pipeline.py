@@ -25,8 +25,9 @@ from .data import split_rows
 from .elm import (ACTIVATIONS, BOUND_SAFETY, UNIT_ROUNDOFF, ElmModel, elm_fit_with_weights,
                   elm_hidden, elm_predict, elm_solve_beta, fit_normalization,
                   residual_lower_bounds)
-from .features import FEATURE_UNITS, FeatureMatrix
+from .features import FeatureMatrix
 from .fusion import TsneParams, embed_new_points, scale_feature_groups, tsne_embed
+from .names import FEATURE_UNITS
 from .rng import derive_seed
 from .woa import WoaConfig, WoaResult, uniform_bounds, woa_optimize
 

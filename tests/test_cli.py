@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import typing
 import warnings
 from pathlib import Path
@@ -253,6 +256,8 @@ def inputs(tmp_path_factory):
     (d / "samples_bad_time.csv").write_text(
         "\n".join([header, f"{battery},{cycle},x,{voltage}", *rows]) + "\n")
     (d / "deep.json").write_text("[" * 200_000)
+    (d / "truncated.json").write_text("[")
+    (d / "no_features_key.json").write_text('{"values": [0.5]}')
     # A valid model file of every kind, named after the kind.
     matrix = features.matrix_from_csv((d / "features.csv").read_text())
     (d / "vector.json").write_text(json.dumps(matrix.X[0].tolist()))
@@ -280,7 +285,8 @@ def _replaced(obj, section, **fields):
 
 
 def _misshapen_models(d, matrix):
-    """Model files of the right JSON types whose arrays have the wrong shape."""
+    """Model files missing a section, or of the right JSON types with an array
+    of the wrong shape."""
     elm, knn, tree = (load_json(d / f"{kind}.json") for kind in ("elm", "knn", "tree"))
     n = len(features.FEATURE_NAMES)
     # A knn model on an identity "embedding", so that the fusion section is valid.
@@ -295,6 +301,21 @@ def _misshapen_models(d, matrix):
         "fusion_flat_train_x.json": _replaced(fused, "fusion", train_x=matrix.X[0].tolist()),
         "fusion_flat_train_y.json": _replaced(fused, "fusion", train_y=matrix.y.tolist()),
         "fusion_k0.json": _replaced(fused, "fusion", k=0),
+        # an ELM that reads 2 fused inputs but carries no fusion section
+        "elm_fused_null_fusion.json": {
+            **_replaced(elm, "elm", omega=[row[:2] for row in elm["elm"]["omega"]]),
+            "norm": {**elm["norm"], "means": elm["norm"]["means"][:2],
+                     "sds": elm["norm"]["sds"][:2]},
+        },
+        "elm_short_norm_means.json": _replaced(elm, "norm", means=elm["norm"]["means"][:5]),
+        "elm_no_norm.json": {k: v for k, v in elm.items() if k != "norm"},
+        "knn_short_means.json": _replaced(knn, "knn", means=knn["knn"]["means"][:5]),
+        "fusion_short_scales.json": _replaced(fused, "fusion",
+                                              scales=fused["fusion"]["scales"][:3]),
+        "fusion_narrow_train_x.json": _replaced(fused, "fusion",
+                                                train_x=matrix.X[:, :5].tolist()),
+        "fusion_no_scales.json": {**fused, "fusion": {k: v for k, v in fused["fusion"].items()
+                                                      if k != "scales"}},
     }
 
 
@@ -319,7 +340,10 @@ BAD_MODELS = ["tree_int.json", "knn_list.json", "forest_int_trees.json", "elm_in
 MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.json",
                     "tree_feature_99.json", "tree_feature_negative.json",
                     "knn_short_train_y.json", "fusion_flat_train_x.json",
-                    "fusion_flat_train_y.json", "fusion_k0.json"]
+                    "fusion_flat_train_y.json", "fusion_k0.json",
+                    "elm_fused_null_fusion.json", "elm_short_norm_means.json",
+                    "elm_no_norm.json", "knn_short_means.json", "fusion_short_scales.json",
+                    "fusion_narrow_train_x.json", "fusion_no_scales.json"]
 
 
 NON_FINITE_VECTORS = {"nan_vector.json": float("nan"), "inf_vector.json": float("inf"),
@@ -412,7 +436,7 @@ def test_malformed_input_exit_codes(inputs, args, code, capsys, monkeypatch):
     def no_fit(*a, **k):
         raise RuntimeError("a model was fitted before the arguments were checked")
 
-    monkeypatch.setattr("batcap.cli.elm_fit", no_fit)
+    monkeypatch.setattr("batcap.elm.elm_fit", no_fit)
     monkeypatch.setattr("batcap.pipeline.woa_elm_train", no_fit)
     assert main(_expand(inputs, args)) == code
     err = capsys.readouterr().err
@@ -512,6 +536,47 @@ def test_fitting_commands_name_the_features_file_whose_variance_overflows(inputs
 def test_misshapen_model_is_rejected_while_decoding(inputs, name):
     with pytest.raises(ValueError, match="^malformed"):
         modelio.make_predictor(load_json(inputs / name))
+
+
+@pytest.mark.parametrize("args,bad", [
+    (["predict", "--model", "@truncated.json", "--input", "@vector.json"], "truncated.json"),
+    (["predict", "--model", "@model.json", "--input", "@truncated.json"], "truncated.json"),
+    (["train", "--features", "@features.csv", "--config", "@truncated.json",
+      "--model-out", "@out.json"], "truncated.json"),
+    (["features", *DATASET, "--segments", "@truncated.json", "--out", "@out.csv"],
+     "truncated.json"),
+    (["predict", "--model", "@model.json", "--input", "@no_features_key.json"],
+     "no_features_key.json"),
+])
+def test_json_errors_name_the_file(inputs, args, bad, capsys):
+    assert main(_expand(inputs, args)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR 4: {inputs / bad}: ") and err.count("\n") == 1
+
+
+# Layers that fit, ingest or explain; a cold predict on an ELM loads none of them.
+FIT_LAYERS = {"data", "features", "correlation", "attribution", "pipeline", "woa", "baselines"}
+
+
+@pytest.mark.parametrize("model,loaded", [(None, set()), ("model.json", set()),
+                                          ("knn.json", {"baselines"})])
+def test_cold_predict_imports_only_model_code(inputs, model, loaded):
+    """A fresh interpreter per case: which batcap layers importing the CLI, and
+    predicting with a plain ELM or a knn model, loads."""
+    code = "import batcap.cli"
+    argv = []
+    if model is not None:
+        code = "import sys; from batcap.cli import main; assert main(sys.argv[1:]) == 0"
+        argv = ["predict", "--model", str(inputs / model), "--input", str(inputs / "vector.json")]
+    code += "; import sys; print(*(m for m in sys.modules if m.startswith('batcap.')))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = {m.removeprefix("batcap.") for m in proc.stdout.splitlines()[-1].split()}
+    assert "cli" in modules and modules & FIT_LAYERS == loaded
 
 
 CONFIG_COMMANDS = [
