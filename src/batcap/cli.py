@@ -116,15 +116,18 @@ def _load_dataset(args) -> data.Dataset:
     return data.assemble_dataset(records, capacities, sid or "unknown", args.nominal)
 
 
-def _checked_predictor(model_obj: dict, source: str):
-    """The model's predictor, exiting 4 and naming ``source`` when its rows
-    overflow the model.
+def _checked_predictor(model_obj: dict, model_path: str, source: str):
+    """The model's predictor, exiting 4 and naming ``model_path`` when the model
+    does not decode, or ``source`` when its rows overflow the model.
 
     A finite row whose normalized values overflow shows up as an invalid
     operation (inf - inf, 0 / 0) or as a non-finite prediction; overflow
     itself is expected there and raises no numpy warning.
     """
-    predict = modelio.make_predictor(model_obj)
+    try:
+        predict = modelio.make_predictor(model_obj)
+    except ValueError as exc:
+        raise CliError(4, f"{model_path}: {exc}") from None
 
     def checked(X):
         with np.errstate(over="ignore", invalid="raise"):
@@ -234,7 +237,14 @@ def cmd_segment(args) -> int:
 def cmd_features(args) -> int:
     from . import features
     ds = _load_dataset(args)
-    seg = features.segments_from_dict(_load_object(load_json, args.segments))
+    seg_obj = _load_object(load_json, args.segments)
+    try:
+        seg = features.segments_from_dict(seg_obj)
+    except (ValueError, OverflowError) as exc:
+        raise CliError(4, f"{args.segments}: {exc}") from None
+    except (KeyError, TypeError, IndexError) as exc:
+        raise CliError(4, f"{args.segments}: malformed segments: "
+                          f"{type(exc).__name__}: {exc}") from None
     matrix = features.build_matrix(ds, seg, target_mode=args.target)
     Path(args.out).write_text(features.matrix_to_csv(matrix), encoding="utf-8")
     print(f"wrote {matrix.X.shape[0]}x{matrix.X.shape[1]} feature matrix to {args.out}")
@@ -311,7 +321,7 @@ def cmd_evaluate(args) -> int:
     master = _master_seed(args)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     train_idx, test_idx = list(split.train), list(split.test)
-    predict = _checked_predictor(model_obj, args.features)
+    predict = _checked_predictor(model_obj, args.model, args.features)
     metrics_obj = pipeline.metrics_to_dict(
         model_obj["kind"],
         len(train_idx),
@@ -369,7 +379,7 @@ def cmd_shap(args) -> int:
     matrix = _load_matrix(args.features)
     model_obj = _load_object(modelio.load_model, args.model)
     master = _master_seed(args)
-    predict = _checked_predictor(model_obj, args.features)
+    predict = _checked_predictor(model_obj, args.model, args.features)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     rows = matrix.X if args.rows is None else matrix.X[: args.rows]
     with np.errstate(over="ignore"):  # an overflowing background mean fails in predict
@@ -398,7 +408,7 @@ def cmd_predict(args) -> int:
         raise not_finite from None
     if not np.all(np.isfinite(x)):
         raise not_finite
-    value = float(_checked_predictor(model_obj, args.input)(x[None, :])[0])
+    value = float(_checked_predictor(model_obj, args.model, args.input)(x[None, :])[0])
     print(format_number(value))
     return 0
 

@@ -279,11 +279,14 @@ def elm_from_dict(obj: dict) -> ElmModel:
     if norm.feat_means.shape != (n_inputs,) or norm.feat_sds.shape != (n_inputs,):
         raise ValueError(f"norm means and sds must each hold {n_inputs} numbers, "
                          "one per omega column")
+    activation = section["activation"]
+    if not isinstance(activation, str) or activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, got {activation!r}")
     return ElmModel(
         omega=omega,
         bias=bias,
         beta=beta[:, None],
-        activation=section["activation"],
+        activation=activation,
         norm=norm,
         hidden_l=hidden_l,
         seed=int(obj.get("seed", 0)),

@@ -23,6 +23,10 @@ MOMENTUM_SWITCH_ITER = 250
 MOMENTUM_EARLY = 0.5
 MOMENTUM_LATE = 0.8
 LEARNING_RATE = 200.0
+# The descent computes the KL every KL_EVERY iterations and at the last one.
+KL_EVERY = 50
+# While every |y| is below this, every Student-t kernel value and Q is positive.
+Y_BOUND = 1e100
 # Floats per (chunk, n_train, features) temporary in embed_new_points: 1 MiB.
 OOS_CHUNK_ELEMENTS = 1 << 17
 
@@ -51,7 +55,7 @@ class AffinityMatrix:
 class EmbeddingResult:
     Y: np.ndarray
     final_kl: float
-    kl_history: list[float]
+    kl_history: list[tuple[int, float]]
     params: TsneParams
 
 
@@ -198,10 +202,13 @@ def tsne_embed(X: np.ndarray, d: int, params: TsneParams,
     """Embed X into d dimensions; deterministic for a fixed seed.
 
     The affinity matrix is exaggerated by a factor of 4 for the first 100
-    iterations and left untouched afterwards; kl_history records the true
-    (unexaggerated) KL after every position update. ``affinities``, when
-    given, is the ``joint_affinities`` of X at the effective perplexity and
-    is used instead of calibrating P again.
+    iterations and left untouched afterwards. The true (unexaggerated) KL is
+    computed after every ``KL_EVERY``-th position update and after the last
+    one; kl_history holds those ``(iteration, KL)`` pairs, and final_kl is the
+    last. The KL never feeds the update, so the cadence leaves Y unchanged.
+    Any iteration whose Q is zero where P has mass raises, sampled or not.
+    ``affinities``, when given, is the ``joint_affinities`` of X at the
+    effective perplexity and is used instead of calibrating P again.
     """
     params.validate()
     X = np.asarray(X, dtype=float)
@@ -224,8 +231,8 @@ def tsne_embed(X: np.ndarray, d: int, params: TsneParams,
     rng = Rng(derive_seed(params.seed, "tsne-init", d))
     Y = rng.normals(n * d, 0.0, 1e-4).reshape(n, d)
     velocity = np.zeros_like(Y)
-    kl_history: list[float] = []
-    # One kernel w per position update gives Q, this step's KL and the next
+    kl_history: list[tuple[int, float]] = []
+    # One kernel w per position update gives Q, the sampled KL and the next
     # step's gradient. Every (n, n) array lives in a buffer reused across
     # iterations, so the loop allocates nothing of that size.
     w, Q, m = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
@@ -240,17 +247,24 @@ def tsne_embed(X: np.ndarray, d: int, params: TsneParams,
         Y = Y + velocity
         _student_t_kernel(Y, w, m)
         np.divide(w, w.sum(), out=Q)
+        sampled = t % KL_EVERY == 0 or t == params.iterations
+        # With every |y| < Y_BOUND, each squared distance is below 4 d Y_BOUND^2,
+        # so each kernel value, and each Q, is positive: only a step past the
+        # bound needs the support checked when it samples no KL.
+        if not sampled and np.abs(Y).max() < Y_BOUND:
+            continue
         np.take(Q.ravel(), support, out=Q_support)
         if np.any(Q_support == 0):
             raise ValueError("Q is zero where P has mass; KL undefined")
-        # P_s * log(P_s / Q_s), evaluated in place
-        np.divide(P_support, Q_support, out=Q_support)
-        np.log(Q_support, out=Q_support)
-        Q_support *= P_support
-        kl_history.append(float(np.sum(Q_support)))
+        if sampled:
+            # P_s * log(P_s / Q_s), evaluated in place
+            np.divide(P_support, Q_support, out=Q_support)
+            np.log(Q_support, out=Q_support)
+            Q_support *= P_support
+            kl_history.append((t, float(np.sum(Q_support))))
     return EmbeddingResult(
         Y=Y,
-        final_kl=kl_history[-1],
+        final_kl=kl_history[-1][1],
         kl_history=kl_history,
         params=replace(params, perplexity=perplexity),
     )
@@ -301,6 +315,23 @@ def scale_feature_groups(X: np.ndarray, units) -> tuple[np.ndarray, np.ndarray, 
     return centered / scales, means, scales
 
 
+def _k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest distances, in the order of a
+    stable argsort: by distance, ties by index.
+
+    A partition selects the k; a row whose k-th distance is tied with one
+    left out, or is NaN, is sorted instead, so every row's k equal the sort's.
+    """
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    part_dist = np.take_along_axis(dist, part, axis=1)
+    kth = part_dist.max(axis=1, keepdims=True)
+    nearest = np.take_along_axis(part, np.lexsort((part, part_dist), axis=1), axis=1)
+    resort = np.count_nonzero(dist <= kth, axis=1) != k
+    if resort.any():
+        nearest[resort] = np.argsort(dist[resort], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 def embed_new_points(X_train: np.ndarray, Y_train: np.ndarray,
                      X_new: np.ndarray, k: int = 5) -> np.ndarray:
     """Out-of-sample embedding by inverse-distance weighting of the k nearest
@@ -322,7 +353,7 @@ def embed_new_points(X_train: np.ndarray, Y_train: np.ndarray,
         rows = X_new[start:start + chunk]
         diff = np.subtract(X_train[None, :, :], rows[:, None, :], out=buffer[:len(rows)])
         dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=2))
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        nearest = _k_nearest(dist, k)
         near_dist = np.take_along_axis(dist, nearest, axis=1)
         duplicate = near_dist[:, 0] == 0.0
         block = out[start:start + chunk]

@@ -87,7 +87,7 @@ def make_predictor(obj: dict):
             base = lambda X: elm_predict(model, X)
     except KeyError as exc:
         raise ValueError(f"malformed {kind} model: missing key {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} model: {exc}") from None
     except (TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed {kind} model: {type(exc).__name__}: {exc}") from None

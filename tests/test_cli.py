@@ -277,6 +277,15 @@ def inputs(tmp_path_factory):
         (d / name).write_text(json.dumps([*matrix.X[0][:5], value, *matrix.X[0][6:]]))
     for name, obj in _misshapen_models(d, matrix).items():
         dump_json(obj, d / name)
+    # counts beyond the float range: JSON reads 1e400 as inf
+    elm, fused = load_json(d / "elm.json"), load_json(d / "fusion_k0.json")
+    for name, obj in {"elm_l_1e400.json": _replaced(elm, "elm", l="HUGE"),
+                      "fusion_k_1e400.json": _replaced(fused, "fusion", k="HUGE")}.items():
+        (d / name).write_text(json.dumps(obj).replace('"HUGE"', "1e400"))
+    segments = load_json(d / "segments.json")
+    for name, vs1 in {"segments_vs1_object.json": {"a": 1},
+                      "segments_vs1_string.json": "x"}.items():
+        dump_json({**segments, "vs1": vs1}, d / name)
     return d
 
 
@@ -316,6 +325,8 @@ def _misshapen_models(d, matrix):
                                                 train_x=matrix.X[:, :5].tolist()),
         "fusion_no_scales.json": {**fused, "fusion": {k: v for k, v in fused["fusion"].items()
                                                       if k != "scales"}},
+        "elm_activation_list.json": _replaced(elm, "elm", activation=["x"]),
+        "elm_activation_relu.json": _replaced(elm, "elm", activation="relu"),
     }
 
 
@@ -343,7 +354,11 @@ MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.j
                     "fusion_flat_train_y.json", "fusion_k0.json",
                     "elm_fused_null_fusion.json", "elm_short_norm_means.json",
                     "elm_no_norm.json", "knn_short_means.json", "fusion_short_scales.json",
-                    "fusion_narrow_train_x.json", "fusion_no_scales.json"]
+                    "fusion_narrow_train_x.json", "fusion_no_scales.json",
+                    "elm_activation_list.json", "elm_activation_relu.json",
+                    "elm_l_1e400.json", "fusion_k_1e400.json"]
+# segments files of the right outer type whose vs1 is not a pair of numbers
+BAD_SEGMENTS = ["segments_vs1_object.json", "segments_vs1_string.json"]
 
 
 NON_FINITE_VECTORS = {"nan_vector.json": float("nan"), "inf_vector.json": float("inf"),
@@ -367,6 +382,8 @@ MALFORMED = [
       "--out", "@out.json"], 4),
     (["predict", "--model", "@list.json", "--input", "@scalar.json"], 4),
     (["features", *DATASET, "--segments", "@list.json", "--out", "@out.csv"], 4),
+    *[(["features", *DATASET, "--segments", f"@{seg}", "--out", "@out.csv"], 4)
+      for seg in BAD_SEGMENTS],
     *[(args, 4) for capacity in ("capacity_two_ids.csv", "capacity_nan.csv", "capacity_inf.csv")
       for args in (
         ["segment", "--samples", "@samples.csv", "--capacity", f"@{capacity}", "--out", "@out.json"],
@@ -549,6 +566,23 @@ def test_misshapen_model_is_rejected_while_decoding(inputs, name):
      "no_features_key.json"),
 ])
 def test_json_errors_name_the_file(inputs, args, bad, capsys):
+    assert main(_expand(inputs, args)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR 4: {inputs / bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,bad", [
+    *[(args, model) for model in ("elm_activation_list.json", "elm_activation_relu.json",
+                                  "elm_l_1e400.json", "fusion_k_1e400.json", "elm_no_norm.json")
+      for args in (
+        ["predict", "--model", f"@{model}", "--input", "@vector.json"],
+        ["evaluate", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
+        ["shap", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
+    )],
+    *[(["features", *DATASET, "--segments", f"@{seg}", "--out", "@out.csv"], seg)
+      for seg in BAD_SEGMENTS],
+])
+def test_decode_errors_name_the_file(inputs, args, bad, capsys):
     assert main(_expand(inputs, args)) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR 4: {inputs / bad}: ") and err.count("\n") == 1

@@ -190,8 +190,8 @@ def test_embed_kl_drops_after_exaggeration_phase():
     X, _ = two_clusters(n_per=15, dim=6, seed=8)
     emb = fusion.tsne_embed(X, 2, fusion.TsneParams(perplexity=8, iterations=400, seed=1))
     assert emb.final_kl >= 0.0
-    assert emb.final_kl <= emb.kl_history[99]
-    assert len(emb.kl_history) == 400
+    assert emb.final_kl <= dict(emb.kl_history)[100]
+    assert [t for t, _ in emb.kl_history] == list(range(50, 401, 50))
 
 
 def test_embed_bit_identical_for_fixed_seed():
@@ -200,7 +200,10 @@ def test_embed_bit_identical_for_fixed_seed():
     a = fusion.tsne_embed(X, 2, params)
     b = fusion.tsne_embed(X, 2, params)
     assert np.array_equal(a.Y, b.Y)
+    assert a.final_kl == b.final_kl
     assert a.kl_history == b.kl_history
+    # every KL_EVERY-th iteration, and the last
+    assert [t for t, _ in a.kl_history] == [50, 100, 150, 200, 250, 260]
 
 
 def test_embed_leaves_affinities_unchanged():
@@ -314,6 +317,13 @@ def _reference_tsne_embed(X, d, params):
     return Y, kl_history
 
 
+def _sampled(kl_history):
+    """The (iteration, KL) pairs tsne_embed keeps of a per-step KL history."""
+    last = len(kl_history)
+    return [(t, kl) for t, kl in enumerate(kl_history, start=1)
+            if t % fusion.KL_EVERY == 0 or t == last]
+
+
 def _reference_embed_new_points(X_train, Y_train, X_new, k=5):
     """embed_new_points as it was before rows were embedded in chunks."""
     X_train = np.asarray(X_train, dtype=float)
@@ -355,11 +365,12 @@ FAR_CLUSTERS = two_clusters(n_per=12, dim=4, gap=60.0, seed=21)[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("case", ["near", "far"])
+@pytest.mark.parametrize("case", ["near", "near-273", "far"])
 def test_embed_matches_reference_loop_bit_for_bit(d, case):
-    if case == "near":
+    if case.startswith("near"):
         X = two_clusters(n_per=15, dim=6, seed=20)[0]
-        params = fusion.TsneParams(perplexity=6, iterations=300, seed=7)
+        iterations = 273 if case == "near-273" else 300
+        params = fusion.TsneParams(perplexity=6, iterations=iterations, seed=7)
     else:
         X = FAR_CLUSTERS
         params = fusion.TsneParams(perplexity=2, iterations=300, seed=7)
@@ -368,7 +379,8 @@ def test_embed_matches_reference_loop_bit_for_bit(d, case):
     Y, kl_history = _reference_tsne_embed(X, d, params)
     emb = fusion.tsne_embed(X, d, params)
     assert np.array_equal(emb.Y, Y)
-    assert emb.kl_history == kl_history
+    assert emb.final_kl == kl_history[-1]
+    assert emb.kl_history == _sampled(kl_history)
 
 
 def test_screen_dimensions_matches_separate_embeds(monkeypatch):
@@ -386,9 +398,37 @@ def test_screen_dimensions_matches_separate_embeds(monkeypatch):
     result = fusion.screen_dimensions(X, dims=(1, 2, 3), params=params)
     assert len(calls) == 1
     for d, emb in separate.items():
+        Y, kl_history = _reference_tsne_embed(X, d, params)
         assert np.array_equal(result.embeddings[d].Y, emb.Y)
-        assert result.embeddings[d].kl_history == emb.kl_history
+        assert np.array_equal(emb.Y, Y)
+        assert result.embeddings[d].final_kl == emb.final_kl == kl_history[-1]
+        assert result.embeddings[d].kl_history == emb.kl_history == _sampled(kl_history)
         assert result.embeddings[d].params == emb.params
+
+
+def test_zero_q_raises_at_the_reference_loop_step(monkeypatch):
+    # Rows 0 and 1 start at orthogonal +-1.3e154 positions: their squared distance
+    # overflows to inf, so their kernel value and Q are 0 where P has mass. The
+    # reference loop raises at step 1, which samples no KL.
+    class FarRng(Rng):
+        def normals(self, count, mean=0.0, sd=1.0):
+            out = super().normals(count, mean, sd)
+            out[:4] = [1.3e154, 0.0, 0.0, -1.3e154]
+            return out
+
+    X = two_clusters(n_per=10, dim=5, seed=9)[0]
+    params = fusion.TsneParams(perplexity=6, iterations=260, seed=4)
+    kernels = []
+    kernel = fusion._student_t_kernel
+    monkeypatch.setattr(fusion, "Rng", FarRng)
+    monkeypatch.setattr(fusion, "_student_t_kernel", lambda *a: kernels.append(1) or kernel(*a))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="Q is zero where P has mass"):
+            fusion.tsne_embed(X, 2, params)
+        assert len(kernels) == 2  # the initial kernel and step 1's
+        monkeypatch.setitem(globals(), "Rng", FarRng)
+        with pytest.raises(ValueError, match="Q is zero where P has mass"):
+            _reference_tsne_embed(X, 2, params)
 
 
 def test_embed_rejects_affinities_of_other_points():
@@ -443,3 +483,29 @@ def test_embed_new_points_case_mix_matches_row_loop():
         assert np.array_equal(out, ref, equal_nan=True)
         assert np.array_equal(out[2 * chunk + 1], Y_train[139])
     assert np.isnan(out[chunk - 1]).all()
+
+
+def test_embed_new_points_k_th_distance_tied_across_the_partition():
+    # distances to the origin: 1 at row 100, 2 at row 50, 3 at rows 7, 70 and
+    # 139, and 4 elsewhere; k = 3 leaves two of the three 3s out
+    X_train = np.zeros((140, 13))
+    X_train[:, 0] = 4.0
+    X_train[[100, 50, 7, 70, 139], 0] = [1.0, 2.0, 3.0, 3.0, 3.0]
+    Y_train = Rng(41).normals(140 * 2).reshape(140, 2)
+    X_new = np.zeros((1, 13))
+    for k in (3, 4, 5, 6):
+        out = fusion.embed_new_points(X_train, Y_train, X_new, k=k)
+        assert np.array_equal(out, _reference_embed_new_points(X_train, Y_train, X_new, k=k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 139, 140])
+def test_k_nearest_is_the_stable_sort_prefix(k):
+    # small integer distances, so the k-th ties across the partition in most rows
+    dist = np.floor(Rng(42).uniforms(64 * 140, 0.0, 6.0)).reshape(64, 140)
+    dist[5, 17] = np.nan
+    dist[6] = np.inf
+    ordered = np.sort(dist, axis=1)
+    if k < 140:
+        assert np.sum(ordered[:, k - 1] == ordered[:, k]) > 32
+    assert np.array_equal(fusion._k_nearest(dist, k),
+                          np.argsort(dist, axis=1, kind="stable")[:, :k])
