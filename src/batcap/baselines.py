@@ -301,13 +301,15 @@ def _tree_to_dict(node: _Node) -> dict:
 
 def _tree_from_dict(obj: dict, n_features: int) -> _Node:
     node = _Node(value=float(obj["value"]))
-    if "feature" in obj:
+    if obj.keys() != {"value"}:  # a split node
         node.feature = int(obj["feature"])
         if not 0 <= node.feature < n_features:
             raise ValueError(f"tree feature {node.feature} is not one of {n_features} inputs")
         node.threshold = float(obj["threshold"])
         node.left = _tree_from_dict(obj["left"], n_features)
         node.right = _tree_from_dict(obj["right"], n_features)
+    if not (math.isfinite(node.value) and math.isfinite(node.threshold)):
+        raise ValueError("tree values and thresholds must be finite")
     return node
 
 
@@ -362,6 +364,10 @@ def baseline_from_dict(obj: dict, n_features: int):
                              "train_y one number per train_x row")
         if model._means.shape != (n_features,) or model._sds.shape != (n_features,):
             raise ValueError(f"knn means and sds must each hold {n_features} numbers")
+        if model.k > len(model._X):
+            raise ValueError(f"knn k = {model.k} exceeds {len(model._X)} training rows")
+        if not all(np.all(np.isfinite(a)) for a in (model._means, model._sds, model._X, model._y)):
+            raise ValueError("knn numbers must be finite")
         return model
     if kind == "tree":
         model = RegressionTree()
@@ -374,11 +380,15 @@ def baseline_from_dict(obj: dict, n_features: int):
             tree = RegressionTree()
             tree._root = _tree_from_dict(tree_obj, n_features)
             model._trees.append(tree)
+        if not model._trees:
+            raise ValueError("a forest needs at least one tree")
         return model
     if kind == "gbrt":
         section = obj["gbrt"]
         model = GradientBoosting(shrinkage=float(section["shrinkage"]))
         model._base = float(section["base"])
+        if not math.isfinite(model._base):
+            raise ValueError("gbrt base must be finite")
         model._trees = []
         for tree_obj in section["trees"]:
             tree = RegressionTree()

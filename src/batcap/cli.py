@@ -17,6 +17,7 @@ code. The top of this module imports only what every subcommand shares.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import typing
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modelio
-from .jsonio import dump_json, format_number, load_json, load_schema, validate_schema
+from .jsonio import dump_json, format_number, load_schema, validate_schema
 from .names import FEATURE_NAMES, FEATURE_UNITS
 from .rng import derive_seed
 
@@ -45,18 +46,23 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(2, message)
 
 
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
+def _read_input(path: str, decode):
+    """decode(the text of the file at ``path``). Every input file is read here:
+    a missing file exits 3, and an error while reading or decoding it exits 4
+    with the path first (RecursionError is JSON nested too deeply)."""
+    if not Path(path).is_file():
         raise CliError(3, f"input file not found: {path}")
-    return p
+    try:
+        return decode(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError) as exc:
+        detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        raise CliError(4, f"{path}: {detail}") from None
 
 
-def _load_object(load, path: str) -> dict:
-    """Read a JSON file that must hold an object: a config, model or segments file."""
-    obj = load(_require_file(path))
+def _json_object(text: str) -> dict:
+    obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise CliError(4, f"{path}: expected a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
 
 
@@ -95,39 +101,29 @@ def _write_artifact(obj: dict, schema_name: str, path: str) -> None:
     dump_json(obj, path)
 
 
-def _parsed(parse, text: str, path: str):
-    """parse(text), exiting 4 with the file named on a parse error."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise CliError(4, f"{path}: {exc}") from None
-
-
 def _load_dataset(args) -> data.Dataset:
     from . import data
-    samples_text = _require_file(args.samples).read_text(encoding="utf-8")
-    capacity_text = _require_file(args.capacity).read_text(encoding="utf-8")
-    sid = data.sniff_battery_id(samples_text)
-    cid = data.sniff_battery_id(capacity_text)
+    sid, records = _read_input(args.samples, lambda text: (data.sniff_battery_id(text),
+                                                           data.parse_samples(text)))
+    cid, capacities = _read_input(args.capacity, lambda text: (data.sniff_battery_id(text),
+                                                               data.parse_capacity(text)))
     if sid is not None and cid is not None and sid != cid:
-        raise CliError(4, f"inconsistent battery_id: {sid!r} vs {cid!r}")
-    records = _parsed(data.parse_samples, samples_text, args.samples)
-    capacities = _parsed(data.parse_capacity, capacity_text, args.capacity)
+        raise CliError(4, f"{args.capacity}: inconsistent battery_id: "
+                          f"{cid!r} vs {sid!r} in {args.samples}")
     return data.assemble_dataset(records, capacities, sid or "unknown", args.nominal)
 
 
-def _checked_predictor(model_obj: dict, model_path: str, source: str):
-    """The model's predictor, exiting 4 and naming ``model_path`` when the model
-    does not decode, or ``source`` when its rows overflow the model.
-
-    A finite row whose normalized values overflow shows up as an invalid
-    operation (inf - inf, 0 / 0) or as a non-finite prediction; overflow
-    itself is expected there and raises no numpy warning.
+def _load_model(path: str, source: str):
+    """(kind, predict) of the model file at ``path``, decoded whole; predict
+    exits 4 naming ``source`` when the rows it reads overflow the model. Such
+    a row shows up as an invalid operation (inf - inf, 0 / 0) or a non-finite
+    prediction; overflow itself is expected there and raises no numpy warning.
     """
-    try:
-        predict = modelio.make_predictor(model_obj)
-    except ValueError as exc:
-        raise CliError(4, f"{model_path}: {exc}") from None
+    def decode(text):
+        obj = _json_object(text)
+        return obj.get("kind"), modelio.make_predictor(obj)
+
+    kind, predict = _read_input(path, decode)
 
     def checked(X):
         with np.errstate(over="ignore", invalid="raise"):
@@ -140,40 +136,31 @@ def _checked_predictor(model_obj: dict, model_path: str, source: str):
                               "normalization can represent")
         return out
 
-    return checked
+    return kind, checked
 
 
-def _load_matrix(path: str) -> features.FeatureMatrix:
-    from . import features
-    return features.matrix_from_csv(_require_file(path).read_text(encoding="utf-8"))
-
-
-def _load_fit_matrix(path: str) -> features.FeatureMatrix:
+def _fit_matrix(text: str) -> features.FeatureMatrix:
     """The features file of a command that fits or analyses all its rows.
 
     Normalization, feature grouping and correlation all square the
     deviations from each column's mean; a column whose variance overflows
-    exits 4 naming the file, before any of them prints a numpy warning.
+    is an input error, raised before any of them prints a numpy warning.
     """
-    matrix = _load_matrix(path)
+    from . import features
+    matrix = features.matrix_from_csv(text)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.all(np.isfinite(matrix.X.var(axis=0))) and np.isfinite(matrix.y.var())
     if not finite:
-        raise CliError(4, f"{path}: values too large: a column's variance overflows")
+        raise ValueError("values too large: a column's variance overflows")
     return matrix
-
-
-def _split_seed(args, master: int) -> int:
-    if getattr(args, "split_seed", None) is not None:
-        return args.split_seed
-    return derive_seed(master, "split")
 
 
 def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDataset:
     from . import data
-    if getattr(args, "split_ordered", False):
+    if args.split_ordered:
         return data.split_rows_ordered(n_rows, ratio)
-    return data.split_rows(n_rows, ratio, _split_seed(args, master))
+    seed = derive_seed(master, "split") if args.split_seed is None else args.split_seed
+    return data.split_rows(n_rows, ratio, seed)
 
 
 # JSON type of each config field type: booleans count as neither kind of number.
@@ -186,17 +173,20 @@ def _config(cls, path: str | None, **fixed):
     Each key must name a field and hold a JSON value of the field's type;
     numbers on float fields become floats. ``fixed`` values override the file.
     """
-    obj = _load_object(load_json, path) if path else {}
-    types = typing.get_type_hints(cls)
-    unknown = sorted(set(obj) - set(types))
-    if unknown:
-        raise CliError(4, f"{path}: unknown config key {unknown[0]!r}")
-    schema = {"properties": {name: {"type": _JSON_TYPES[t]} for name, t in types.items()}}
-    validate_schema(obj, schema, f"{path}: $")
-    values = {k: v if types[k] in (int, str) else float(v) for k, v in obj.items()}
-    cfg = cls(**{**values, **fixed})
-    cfg.validate()
-    return cfg
+    def decode(text):
+        obj = _json_object(text)
+        types = typing.get_type_hints(cls)
+        unknown = sorted(set(obj) - set(types))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
+        schema = {"properties": {name: {"type": _JSON_TYPES[t]} for name, t in types.items()}}
+        validate_schema(obj, schema)
+        values = {k: v if types[k] in (int, str) else float(v) for k, v in obj.items()}
+        cfg = cls(**{**values, **fixed})
+        cfg.validate()
+        return cfg
+
+    return _read_input(path, decode) if path else cls(**fixed)
 
 
 def _train_config(args, master: int) -> pipeline.TrainConfig:
@@ -236,15 +226,8 @@ def cmd_segment(args) -> int:
 
 def cmd_features(args) -> int:
     from . import features
+    seg = _read_input(args.segments, lambda text: features.segments_from_dict(_json_object(text)))
     ds = _load_dataset(args)
-    seg_obj = _load_object(load_json, args.segments)
-    try:
-        seg = features.segments_from_dict(seg_obj)
-    except (ValueError, OverflowError) as exc:
-        raise CliError(4, f"{args.segments}: {exc}") from None
-    except (KeyError, TypeError, IndexError) as exc:
-        raise CliError(4, f"{args.segments}: malformed segments: "
-                          f"{type(exc).__name__}: {exc}") from None
     matrix = features.build_matrix(ds, seg, target_mode=args.target)
     Path(args.out).write_text(features.matrix_to_csv(matrix), encoding="utf-8")
     print(f"wrote {matrix.X.shape[0]}x{matrix.X.shape[1]} feature matrix to {args.out}")
@@ -253,7 +236,7 @@ def cmd_features(args) -> int:
 
 def cmd_correlate(args) -> int:
     from . import correlation
-    matrix = _load_fit_matrix(args.features)
+    matrix = _read_input(args.features, _fit_matrix)
     report = correlation.correlation_report(matrix, rho=args.rho)
     _write_artifact(correlation.report_to_dict(report), "correlation", args.out)
     print(f"top by |pcc|: {', '.join(report.ranking_pcc[:3])}")
@@ -265,7 +248,7 @@ def cmd_fuse(args) -> int:
     force_dim = args.force_dim
     if force_dim is not None and force_dim not in args.dims:
         raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
-    matrix = _load_fit_matrix(args.features)
+    matrix = _read_input(args.features, _fit_matrix)
     master = _master_seed(args)
     params = fusion.TsneParams(
         perplexity=args.perplexity,
@@ -283,7 +266,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_train(args) -> int:
     from . import fusion, pipeline
-    matrix = _load_fit_matrix(args.features)
+    matrix = _read_input(args.features, _fit_matrix)
     master = _master_seed(args)
     cfg = _train_config(args, master)
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
@@ -315,15 +298,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from . import pipeline
-    matrix = _load_matrix(args.features)
-    model_obj = _load_object(modelio.load_model, args.model)
+    from . import features, pipeline
+    matrix = _read_input(args.features, features.matrix_from_csv)
+    kind, predict = _load_model(args.model, args.features)
     master = _master_seed(args)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     train_idx, test_idx = list(split.train), list(split.test)
-    predict = _checked_predictor(model_obj, args.model, args.features)
     metrics_obj = pipeline.metrics_to_dict(
-        model_obj["kind"],
+        kind,
         len(train_idx),
         len(test_idx),
         pipeline.compute_metrics(predict(matrix.X[train_idx]), matrix.y[train_idx]),
@@ -345,7 +327,7 @@ def cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in COMPARE_KINDS:
             raise CliError(2, f"unknown model kind {kind!r}")
-    matrix = _load_fit_matrix(args.features)
+    matrix = _read_input(args.features, _fit_matrix)
     master = _master_seed(args)
     cfg = _train_config(args, master)
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
@@ -375,11 +357,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_shap(args) -> int:
-    from . import attribution
-    matrix = _load_matrix(args.features)
-    model_obj = _load_object(modelio.load_model, args.model)
+    from . import attribution, features
+    matrix = _read_input(args.features, features.matrix_from_csv)
+    _, predict = _load_model(args.model, args.features)
     master = _master_seed(args)
-    predict = _checked_predictor(model_obj, args.model, args.features)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     rows = matrix.X if args.rows is None else matrix.X[: args.rows]
     with np.errstate(over="ignore"):  # an overflowing background mean fails in predict
@@ -392,30 +373,30 @@ def cmd_shap(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    model_obj = _load_object(modelio.load_model, args.model)
-    payload = load_json(_require_file(args.input))
+def _feature_vector(text: str) -> np.ndarray:
+    """The row of a ``predict --input`` file: a JSON list, or one under ``features``."""
+    payload = json.loads(text)
     vector = payload.get("features") if isinstance(payload, dict) else payload
-    n = len(FEATURE_NAMES)
-    if not isinstance(vector, list) or len(vector) != n:
-        raise CliError(4, f"{args.input}: expected a list of {n} feature values")
-    if not all(type(v) in (int, float) for v in vector):  # bool is not a number here
-        raise CliError(4, f"{args.input}: feature values must be JSON numbers")
-    not_finite = CliError(4, f"{args.input}: feature values must be finite numbers")
-    try:
-        x = np.array(vector, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise not_finite from None
+    if not (isinstance(vector, list) and len(vector) == len(FEATURE_NAMES)
+            and all(type(v) in (int, float) for v in vector)):  # bool is not a number here
+        raise ValueError(f"expected a list of {len(FEATURE_NAMES)} JSON numbers")
+    x = np.array(vector, dtype=float)  # an integer beyond the float range overflows
     if not np.all(np.isfinite(x)):
-        raise not_finite
-    value = float(_checked_predictor(model_obj, args.model, args.input)(x[None, :])[0])
+        raise ValueError("feature values must be finite numbers")
+    return x
+
+
+def cmd_predict(args) -> int:
+    _, predict = _load_model(args.model, args.input)
+    x = _read_input(args.input, _feature_vector)
+    value = float(predict(x[None, :])[0])
     print(format_number(value))
     return 0
 
 
 def cmd_table1(args) -> int:
     from . import pipeline
-    matrix = _load_fit_matrix(args.features)
+    matrix = _read_input(args.features, _fit_matrix)
     master = _master_seed(args)
     cfg = _train_config(args, master)
     obj = pipeline.comparison_to_dict(pipeline.fused_comparison(matrix, cfg))

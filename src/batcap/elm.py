@@ -279,6 +279,9 @@ def elm_from_dict(obj: dict) -> ElmModel:
     if norm.feat_means.shape != (n_inputs,) or norm.feat_sds.shape != (n_inputs,):
         raise ValueError(f"norm means and sds must each hold {n_inputs} numbers, "
                          "one per omega column")
+    numbers = (omega, bias, beta, norm.feat_means, norm.feat_sds, norm.target_min, norm.target_max)
+    if not all(np.all(np.isfinite(a)) for a in numbers):
+        raise ValueError("model numbers must be finite")
     activation = section["activation"]
     if not isinstance(activation, str) or activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, got {activation!r}")

@@ -36,6 +36,8 @@ class VoltageSegments:
     vs3: tuple[float, float]
 
     def validate(self) -> None:
+        if not np.all(np.isfinite([self.vs1, self.vs2, self.vs3])):
+            raise ValueError("segment boundaries must be finite")
         if not (self.vs1[1] == self.vs2[0] and self.vs2[1] == self.vs3[0]):
             raise ValueError("segments must be contiguous")
         if not (self.vs1[0] < self.vs1[1] < self.vs2[1] < self.vs3[1]):
@@ -286,21 +288,31 @@ def matrix_to_csv(m: FeatureMatrix) -> str:
 
 
 def matrix_from_csv(csv_text: str) -> FeatureMatrix:
-    lines = [ln for ln in csv_text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    """Parse a features CSV; an error names the file line (blank lines counted)."""
+    lines = [(n, ln) for n, ln in enumerate(csv_text.replace("\r\n", "\n").split("\n"), start=1)
+             if ln.strip()]
     if not lines:
         raise ValueError("features CSV is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     expected = ["cycle", *FEATURE_NAMES, "target"]
     if header != expected:
         raise ValueError("features CSV header mismatch")
     cycles, rows, targets = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(expected):
             raise ValueError(f"line {line_no}: expected {len(expected)} columns")
-        cycles.append(int(parts[0]))
-        rows.append([float(x) for x in parts[1:-1]])
-        targets.append(float(parts[-1]))
+        try:
+            cycles.append(int(parts[0]))
+            rows.append([float(x) for x in parts[1:-1]])
+            targets.append(float(parts[-1]))
+        except ValueError:
+            for name, token in zip(expected, parts):
+                try:
+                    (int if name == "cycle" else float)(token)
+                except ValueError:
+                    raise ValueError(f"line {line_no}: bad {name} value "
+                                     f"{token.strip()!r}") from None
     return FeatureMatrix(
         X=np.array(rows, dtype=float),
         y=np.array(targets, dtype=float),

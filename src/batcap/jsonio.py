@@ -43,15 +43,7 @@ def dump_json(obj, path: str | Path) -> None:
 
 
 def load_json(path: str | Path):
-    """The JSON value in a file; a file that does not parse raises ValueError
-    naming it."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply to read") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 class SchemaError(ValueError):

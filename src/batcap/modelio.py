@@ -49,10 +49,10 @@ def make_predictor(obj: dict):
     """Build a batch prediction function from a model.json dict.
 
     Every section is decoded here, before the first prediction; a missing
-    section, or one of the wrong JSON type or shape, raises ValueError naming
-    the model kind. The model reads rows of the 13 features, mapped first into
-    the fused space when the model carries a fusion section, and its input
-    width must be that of the rows it reads.
+    section, one of the wrong JSON type or shape, or a non-finite number
+    raises ValueError naming the model kind. The model reads rows of the 13
+    features, mapped first into the fused space when the model carries a
+    fusion section, and its input width must be that of the rows it reads.
     """
     kind = obj.get("kind")
     if kind not in ("elm", "woa-elm", *BASELINE_KINDS):
@@ -75,6 +75,8 @@ def make_predictor(obj: dict):
                 raise ValueError(f"fusion train_x must have {n} columns")
             if k < 1:
                 raise ValueError("fusion k must be >= 1")
+            if not all(np.all(np.isfinite(a)) for a in (means, scales, train_x, train_y)):
+                raise ValueError("fusion numbers must be finite")
             width = train_y.shape[1]
         if kind in BASELINE_KINDS:
             from .baselines import baseline_from_dict
@@ -85,12 +87,9 @@ def make_predictor(obj: dict):
                 raise ValueError(f"omega has {model.omega.shape[1]} columns, "
                                  f"but the model reads {width} inputs")
             base = lambda X: elm_predict(model, X)
-    except KeyError as exc:
-        raise ValueError(f"malformed {kind} model: missing key {exc}") from None
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed {kind} model: {exc}") from None
-    except (TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"malformed {kind} model: {type(exc).__name__}: {exc}") from None
+    except (ValueError, OverflowError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        detail = exc if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+        raise ValueError(f"malformed {kind} model: {detail}") from None
     if fusion is None:
         return base
 

@@ -244,10 +244,19 @@ def inputs(tmp_path_factory):
     lines[1] = ",".join([cycle, *["1e308"] * n, target])
     (d / "huge_features.csv").write_text("\n".join(lines) + "\n")
     (d / "empty.csv").write_text("")
+    header, first, *rows = (d / "features.csv").read_text().splitlines()
+    (d / "bad_header.csv").write_text("\n".join([header.replace("F3", "F03"), first]) + "\n")
+    (d / "short_row.csv").write_text("\n".join([header, first.rsplit(",", 1)[0], *rows]) + "\n")
+    cells = first.split(",")
+    cells[3] = "x"  # F3
+    (d / "bad_number.csv").write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+    (d / "not_utf8.bin").write_bytes(b'{"n_cycles": "\xff"}')
     # capacity files with a second battery id, and with a NaN or infinite capacity
     header, *rows = (d / "capacity.csv").read_text().splitlines()
     two_ids = rows[:-10] + [row.replace("synthetic", "other") for row in rows[-10:]]
     (d / "capacity_two_ids.csv").write_text("\n".join([header, *two_ids]) + "\n")
+    (d / "capacity_other_id.csv").write_text(
+        "\n".join([header, *(row.replace("synthetic", "other") for row in rows)]) + "\n")
     for value in ("nan", "inf"):
         bad = rows[:12] + [rows[12].rsplit(",", 1)[0] + "," + value] + rows[13:]
         (d / f"capacity_{value}.csv").write_text("\n".join([header, *bad]) + "\n")
@@ -277,11 +286,15 @@ def inputs(tmp_path_factory):
         (d / name).write_text(json.dumps([*matrix.X[0][:5], value, *matrix.X[0][6:]]))
     for name, obj in _misshapen_models(d, matrix).items():
         dump_json(obj, d / name)
-    # counts beyond the float range: JSON reads 1e400 as inf
+    # counts and numbers beyond the float range (JSON reads 1e400 as inf), and NaN
     elm, fused = load_json(d / "elm.json"), load_json(d / "fusion_k0.json")
+    beta = elm["elm"]["beta"]
     for name, obj in {"elm_l_1e400.json": _replaced(elm, "elm", l="HUGE"),
-                      "fusion_k_1e400.json": _replaced(fused, "fusion", k="HUGE")}.items():
-        (d / name).write_text(json.dumps(obj).replace('"HUGE"', "1e400"))
+                      "fusion_k_1e400.json": _replaced(fused, "fusion", k="HUGE"),
+                      "elm_beta_nan.json": _replaced(elm, "elm", beta=["NAN", *beta[1:]]),
+                      "elm_beta_1e400.json": _replaced(elm, "elm", beta=["HUGE", *beta[1:]]),
+                      "elm_tmin_nan.json": _replaced(elm, "norm", tmin="NAN")}.items():
+        (d / name).write_text(json.dumps(obj).replace('"HUGE"', "1e400").replace('"NAN"', "NaN"))
     segments = load_json(d / "segments.json")
     for name, vs1 in {"segments_vs1_object.json": {"a": 1},
                       "segments_vs1_string.json": "x"}.items():
@@ -327,6 +340,11 @@ def _misshapen_models(d, matrix):
                                                       if k != "scales"}},
         "elm_activation_list.json": _replaced(elm, "elm", activation=["x"]),
         "elm_activation_relu.json": _replaced(elm, "elm", activation="relu"),
+        "forest_no_trees.json": {"kind": "forest", "forest": {"trees": []}},
+        "knn_k_beyond_rows.json": _replaced(knn, "knn", k=len(knn["knn"]["train_x"]) + 1),
+        # a split node without its feature: not a leaf, which holds only a value
+        "tree_split_no_feature.json": {**tree, "tree": {k: v for k, v in tree["tree"].items()
+                                                        if k != "feature"}},
     }
 
 
@@ -339,6 +357,7 @@ BAD_FILES = {
     "cfg_relu.json": {"activation": "relu"},
     "cfg_one_whale.json": {"woa_pop": 1, "hidden_l": 4},
     "cfg_no_iters.json": {"woa_iters": 0},
+    "synth_few_cycles.json": {"n_cycles": 5},
     "synth_list.json": {"n_cycles": [1]},
     "synth_huge.json": {"q0": 10 ** 400},
     "tree_int.json": {"kind": "tree", "tree": 5},
@@ -356,7 +375,9 @@ MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.j
                     "elm_no_norm.json", "knn_short_means.json", "fusion_short_scales.json",
                     "fusion_narrow_train_x.json", "fusion_no_scales.json",
                     "elm_activation_list.json", "elm_activation_relu.json",
-                    "elm_l_1e400.json", "fusion_k_1e400.json"]
+                    "elm_l_1e400.json", "fusion_k_1e400.json", "elm_beta_nan.json",
+                    "elm_beta_1e400.json", "elm_tmin_nan.json", "forest_no_trees.json",
+                    "knn_k_beyond_rows.json", "tree_split_no_feature.json"]
 # segments files of the right outer type whose vs1 is not a pair of numbers
 BAD_SEGMENTS = ["segments_vs1_object.json", "segments_vs1_string.json"]
 
@@ -573,7 +594,9 @@ def test_json_errors_name_the_file(inputs, args, bad, capsys):
 
 @pytest.mark.parametrize("args,bad", [
     *[(args, model) for model in ("elm_activation_list.json", "elm_activation_relu.json",
-                                  "elm_l_1e400.json", "fusion_k_1e400.json", "elm_no_norm.json")
+                                  "elm_l_1e400.json", "fusion_k_1e400.json", "elm_no_norm.json",
+                                  "elm_beta_nan.json", "elm_beta_1e400.json",
+                                  "elm_tmin_nan.json", "forest_no_trees.json")
       for args in (
         ["predict", "--model", f"@{model}", "--input", "@vector.json"],
         ["evaluate", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
@@ -581,11 +604,56 @@ def test_json_errors_name_the_file(inputs, args, bad, capsys):
     )],
     *[(["features", *DATASET, "--segments", f"@{seg}", "--out", "@out.csv"], seg)
       for seg in BAD_SEGMENTS],
+    # a features CSV that is empty, has a bad header, a short row or a bad number
+    *[(args, feats) for feats in ("empty.csv", "bad_header.csv", "short_row.csv", "bad_number.csv")
+      for args in (
+        ["correlate", "--features", f"@{feats}", "--out", "@out.json"],
+        ["evaluate", "--model", "@model.json", "--features", f"@{feats}", "--out", "@out.json"],
+    )],
+    # config values out of range
+    *[(["train", "--features", "@features.csv", "--config", f"@{cfg}", "--model-out", "@out.json"],
+       cfg) for cfg in ("cfg_relu.json", "cfg_one_whale.json", "cfg_no_iters.json")],
+    (["synth", "--config", "@synth_few_cycles.json", "--out-dir", "@out"], "synth_few_cycles.json"),
+    # a capacity file of another battery than the samples file
+    *[([command, "--samples", "@samples.csv", "--capacity", "@capacity_other_id.csv",
+        *extra, "--out", "@out.x"], "capacity_other_id.csv")
+      for command, extra in (("segment", []), ("features", ["--segments", "@segments.json"]))],
+    # a file that is not UTF-8 text, given as each kind of input
+    *[(args, "not_utf8.bin") for args in (
+        ["predict", "--model", "@not_utf8.bin", "--input", "@vector.json"],
+        ["predict", "--model", "@model.json", "--input", "@not_utf8.bin"],
+        ["train", "--features", "@features.csv", "--config", "@not_utf8.bin",
+         "--model-out", "@out.json"],
+        ["features", *DATASET, "--segments", "@not_utf8.bin", "--out", "@out.csv"],
+        ["segment", "--samples", "@not_utf8.bin", "--capacity", "@capacity.csv",
+         "--out", "@out.json"],
+        ["correlate", "--features", "@not_utf8.bin", "--out", "@out.json"],
+    )],
 ])
 def test_decode_errors_name_the_file(inputs, args, bad, capsys):
     assert main(_expand(inputs, args)) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"ERROR 4: {inputs / bad}: ") and err.count("\n") == 1
+
+
+def test_battery_id_mismatch_names_both_files(inputs, capsys):
+    args = ["segment", "--samples", "@samples.csv", "--capacity", "@capacity_other_id.csv",
+            "--out", "@out.json"]
+    assert main(_expand(inputs, args)) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR 4: {inputs / 'capacity_other_id.csv'}: inconsistent battery_id: "
+        f"'other' vs 'synthetic' in {inputs / 'samples.csv'}\n")
+
+
+@pytest.mark.parametrize("segments,code", [("segments_vs1_string.json", 4), ("missing.json", 3)])
+def test_features_reads_segments_before_the_csvs(inputs, segments, code, capsys, monkeypatch):
+    def no_parse(*a, **k):
+        raise AssertionError("the samples CSV was parsed before --segments was read")
+
+    monkeypatch.setattr("batcap.data.parse_samples", no_parse)
+    args = ["features", *DATASET, "--segments", f"@{segments}", "--out", "@out.csv"]
+    assert main(_expand(inputs, args)) == code
+    assert capsys.readouterr().err.startswith(f"ERROR {code}: ")
 
 
 # Layers that fit, ingest or explain; a cold predict on an ELM loads none of them.
@@ -703,6 +771,65 @@ def test_arbitrary_input_bytes_exit_2_3_or_4(inputs, case, capsys):
         code = main(_expand(inputs, args))
         assert code in (2, 3, 4), f"batcap {' '.join(args)} on {raw!r} -> exit {code}"
     capsys.readouterr()
+
+
+# Valid files for the leaf-mutation fuzz, each with the commands that read it.
+MUTANT_COMMANDS = {
+    **{model: [[*args[:2], "@mutant.json", *args[3:]] for args in MODEL_COMMANDS]
+       for model in ("elm.json", "woa-elm.json", "knn_fused.json", "forest.json", "gbrt.json")},
+    "segments.json": [["features", *DATASET, "--segments", "@mutant.json", "--out", "@out.csv"]],
+}
+# Top-level leaves that no decoder reads: a model's seed and absent fusion
+# section, and the segments file's record of how it was made.
+UNREAD_LEAVES = {"seed", "fusion", "alpha", "grid_mv", "reference_cycle"}
+# A fusion k beyond the training rows embeds from all of them, so 10**400 there is valid.
+CLAMPED_LEAVES = {("fusion", "k")}
+# What a mutation puts in place of a leaf. "cut" deletes a key, or cuts an
+# array at the leaf; "swap" puts in a value of another JSON type than the leaf's,
+# but not a boolean, which int(), float() and numpy read as a number.
+LEAF_MUTATIONS = ["cut", "swap", float("nan"), "1e400", 10 ** 400]
+
+
+def _leaf_paths(obj, path=()):
+    if not isinstance(obj, (dict, list)):
+        yield path
+        return
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        yield from _leaf_paths(value, (*path, key))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(list(MUTANT_COMMANDS)), field_pick=st.integers(min_value=0),
+       leaf_pick=st.integers(min_value=0), mutation=st.sampled_from(LEAF_MUTATIONS),
+       swap=st.sampled_from(["x", None, [], {}]))
+def test_mutating_one_leaf_names_the_file(inputs, name, field_pick, leaf_pick, mutation, swap,
+                                          capsys):
+    obj = load_json(inputs / name)
+    paths = [p for p in _leaf_paths(obj) if len(p) > 1 or p[0] not in UNREAD_LEAVES]
+    # Pick a field (the first two keys of a path) first, so that a scalar such
+    # as a gbrt base is as likely to be hit as a leaf of a long array.
+    fields = sorted({p[:2] for p in paths}, key=str)
+    field = fields[field_pick % len(fields)]
+    leaves = [p for p in paths if p[:2] == field]
+    *parents, key = leaves[leaf_pick % len(leaves)]
+    assume(mutation != 10 ** 400 or (*parents, key) not in CLAMPED_LEAVES)
+    parent = obj
+    for step in parents:
+        parent = parent[step]
+    if mutation == "cut":
+        del parent[slice(key, None) if isinstance(parent, list) else key]
+    elif mutation == "swap":
+        parent[key] = 1 if isinstance(parent[key], str) else swap
+    else:
+        parent[key] = mutation
+    mutant = inputs / "mutant.json"
+    mutant.write_text(json.dumps(obj).replace('"1e400"', "1e400"))
+    for args in MUTANT_COMMANDS[name]:
+        code = main(_expand(inputs, args))
+        err = capsys.readouterr().err
+        assert code in (2, 3, 4), f"batcap {' '.join(args)} -> exit {code} at {parents}, {key}"
+        assert err.count("\n") == 1 and str(mutant) in err, err
 
 
 def test_shap_background_is_the_train_split_mean(inputs, capsys):

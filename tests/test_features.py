@@ -203,3 +203,23 @@ def test_segments_dict_round_trip(synth_segments):
     obj = features.segments_to_dict(synth_segments, 0.5, 10.0, 95)
     back = features.segments_from_dict(obj)
     assert back == synth_segments
+
+
+@pytest.mark.parametrize("column,value", [("cycle", "1.5"), ("F3", "x"), ("target", "")])
+def test_matrix_from_csv_names_the_line_and_column_of_a_bad_number(synth_matrix, column, value):
+    lines = features.matrix_to_csv(synth_matrix).split("\n")
+    header = lines[0].split(",")
+    row = lines[2].split(",")
+    row[header.index(column)] = value
+    lines[2] = ",".join(row)
+    text = "\n".join(lines[:2] + [""] + lines[2:])  # a blank line before the bad row counts
+    with pytest.raises(ValueError, match=f"^line 4: bad {column} value '{value}'$"):
+        features.matrix_from_csv(text)
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+def test_segments_from_dict_rejects_non_finite_bounds(synth_segments, bound):
+    obj = features.segments_to_dict(synth_segments, 0.5, 10.0, 95)
+    obj["vs3"][1] = bound
+    with pytest.raises(ValueError, match="finite"):
+        features.segments_from_dict(obj)
