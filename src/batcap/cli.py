@@ -60,9 +60,21 @@ def _read_input(path: str, decode):
 
 
 def _json_object(text: str) -> dict:
+    """The JSON object in ``text``. No field of a model, segments or config
+    file holds a boolean, and int(), float() and numpy would read one as a
+    number, so a boolean anywhere in it is an error."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    stack = [("$", obj)]
+    while stack:
+        where, value = stack.pop()
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if isinstance(item, (bool, dict, list)):
+                at = f"{where}.{key}" if isinstance(value, dict) else f"{where}[{key}]"
+                if isinstance(item, bool):
+                    raise ValueError(f"{at}: expected a number, string or null, got a boolean")
+                stack.append((at, item))
     return obj
 
 
@@ -424,14 +436,19 @@ def build_parser() -> _Parser:
         p.add_argument("--capacity", required=True)
         p.add_argument("--nominal", type=float, default=DEFAULT_NOMINAL_MAH)
 
+    def add_split_args(p, ratio: bool):
+        """The split flags; ``train`` and ``compare`` take the ratio from their config."""
+        if ratio:
+            p.add_argument("--ratio", type=float, default=0.7)
+        p.add_argument("--split-seed", type=int, default=None)
+        p.add_argument("--split-ordered", action="store_true",
+                       help="first rows train, last rows test (no shuffle)")
+
     p = sub.add_parser("segment", help="detect the voltage study ranges")
     add_dataset_args(p)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--grid-mv", type=float, default=10.0)
-    p.add_argument("--ratio", type=float, default=0.7)
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--split-ordered", action="store_true",
-                   help="first rows train, last rows test (no shuffle)")
+    add_split_args(p, ratio=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 
@@ -462,17 +479,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--model-out", required=True)
     p.add_argument("--fused", action="store_true")
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--split-ordered", action="store_true")
+    add_split_args(p, ratio=False)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a stored model on a split")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--split-ordered", action="store_true")
-    p.add_argument("--ratio", type=float, default=0.7)
+    add_split_args(p, ratio=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -480,8 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--models", default="elm,woa-elm,knn,rf,gbrt")
     p.add_argument("--config", default=None)
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--split-ordered", action="store_true")
+    add_split_args(p, ratio=False)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.set_defaults(func=cmd_compare)
@@ -490,9 +503,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--background", choices=("mean", "median"), default="mean")
-    p.add_argument("--ratio", type=float, default=0.7)
-    p.add_argument("--split-seed", type=int, default=None)
-    p.add_argument("--split-ordered", action="store_true")
+    add_split_args(p, ratio=True)
     p.add_argument("--rows", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shap)

@@ -6,14 +6,17 @@ The synthetic generator produces LFP-like curves whose voltage plateau
 shrinks as the cell fades, so capacity-driven features exist by construction.
 
 A whole-life cell has hundreds of thousands of samples, so ingest works on
-whole files as arrays. Both CSV parsers take one pass over the file's tokens,
-which checks the header, the column count and the battery id; the samples
-parser converts each column with one ``map``, groups a cycle's rows even when
-other cycles split them up, and checks every cycle in one array pass
-(``_check_runs``). Only on an error is the file read line by line again, to
-name the line. ``synth_dataset`` draws every cycle's stream at once through
-RNG lanes (``rng.normal_lanes``) and computes the curves as arrays. Both give
-the same records, bit for bit, as one line or one sample at a time.
+whole files as arrays. This module holds the CSV format of all three files,
+samples, capacity and features (``features`` calls its reader and writer).
+Each parser takes one pass over the file's tokens, which checks the header
+and the column count (``_csv_tokens``); the samples parser converts each
+column with one ``map``, groups a cycle's rows even when other cycles split
+them up, and checks every cycle in one array pass (``_check_runs``). Only on
+an error is the file read line by line again, to name the line. The writer
+(``_csv_text``) formats each row once. ``synth_dataset`` draws every cycle's
+stream at once through RNG lanes (``rng.normal_lanes``) and computes the
+curves as arrays. Both give the same records, bit for bit, as one line or
+one sample at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .rng import Rng, derive_seed, normal_lanes
 
 SAMPLES_HEADER = "battery_id,cycle,time_s,voltage_v"
 CAPACITY_HEADER = "battery_id,cycle,discharge_capacity_mah"
-# Name and type of each column after the battery id.
-_SAMPLE_COLUMNS = (("cycle", int), ("time_s", float), ("voltage_v", float))
-_CAPACITY_COLUMNS = (("cycle", int), ("discharge_capacity_mah", float))
+# Name and type of each column.
+_SAMPLE_COLUMNS = (("battery_id", str), ("cycle", int), ("time_s", float), ("voltage_v", float))
+_CAPACITY_COLUMNS = (("battery_id", str), ("cycle", int), ("discharge_capacity_mah", float))
 
 # Constant-current charge curves rise monotonically; allow this much sensor
 # ripple below the running maximum before a cycle is rejected.
@@ -137,12 +140,12 @@ def _line_no(csv_text: str, row: int) -> int:
     return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
-def _csv_tokens(csv_text: str, header: str, kind: str) -> list[str]:
-    """The body of a ``kind`` CSV file as one flat list of tokens, row after row.
+def _csv_tokens(csv_text: str, header: str) -> list[str]:
+    """The body of a CSV file as one flat list of tokens, row after row.
 
-    Checks the header, the column count of every non-blank line and that all
-    rows name one battery id. Tokens keep their padding: ``int`` and
-    ``float`` ignore it.
+    Checks the header, which must be the first line, and the column count of
+    every non-blank line. Tokens keep their padding: ``int`` and ``float``
+    ignore it.
     """
     lines = csv_text.replace("\r\n", "\n").split("\n")
     if lines[0].strip() != header:
@@ -158,21 +161,25 @@ def _csv_tokens(csv_text: str, header: str, kind: str) -> list[str]:
     del body  # the line strings go before the tokens are made
     tokens = joined.split(",") if joined else []
     del joined
+    return tokens
+
+
+def _check_one_battery(tokens: list[str], n_cols: int, kind: str) -> None:
+    """Raise unless the first column of every row names one battery id."""
     battery_ids = {token.strip() for token in set(tokens[0::n_cols])}
     if len(battery_ids) > 1:
         raise ValueError(f"multiple battery ids in one {kind} file: {sorted(battery_ids)}")
-    return tokens
 
 
 def _bad_token(csv_text: str, tokens: list[str], columns) -> ValueError:
     """The error naming the first row with a token its column's type refuses.
 
-    ``columns`` is (name, type) of each column after the battery id; within a
-    row they are tried in that order.
+    ``columns`` is (name, type) of each column; within a row they are tried
+    in that order.
     """
-    n_cols = len(columns) + 1
+    n_cols = len(columns)
     for row in range(len(tokens) // n_cols):
-        for token, (name, kind) in zip(tokens[row * n_cols + 1:(row + 1) * n_cols], columns):
+        for token, (name, kind) in zip(tokens[row * n_cols:(row + 1) * n_cols], columns):
             try:
                 kind(token)
             except ValueError:
@@ -230,7 +237,8 @@ def parse_samples(csv_text: str) -> list[CycleRecord]:
     cycle, times must already be strictly increasing (out-of-order data is an
     error, not silently sorted). The records are validated here, once.
     """
-    tokens = _csv_tokens(csv_text, SAMPLES_HEADER, "samples")
+    tokens = _csv_tokens(csv_text, SAMPLES_HEADER)
+    _check_one_battery(tokens, 4, "samples")
     cycle_tokens = tokens[1::4]
     try:
         value_of = {token: int(token) for token in dict.fromkeys(cycle_tokens)}
@@ -263,7 +271,8 @@ def parse_capacity(csv_text: str) -> dict[int, float]:
     Rows are checked in file order: their tokens, then a repeated cycle, a
     non-positive and a non-finite capacity.
     """
-    tokens = _csv_tokens(csv_text, CAPACITY_HEADER, "capacity")
+    tokens = _csv_tokens(csv_text, CAPACITY_HEADER)
+    _check_one_battery(tokens, 3, "capacity")
     capacities: dict[int, float] = {}
     for row, (cyc, cap) in enumerate(zip(tokens[1::3], tokens[2::3])):
         try:
@@ -504,14 +513,28 @@ def _unlike_g12(x: np.ndarray) -> np.ndarray:
     return ~np.isfinite(x) | whole & ((np.abs(x) >= 1e12) | ((x == 0) & np.signbit(x)))
 
 
-def samples_csv(ds: Dataset) -> str:
-    """Serialize charge curves to the samples.csv wire format.
+def _csv_text(header: str, prefixes, columns) -> str:
+    """CSV text: the header, then per row its prefix (the text of its leading
+    columns) and its value of each float column as ``format_number`` writes it.
 
     Each row is one ``"%.12g"`` format; the few rows where that differs from
     ``format_number`` are formatted again value by value.
     """
     from .jsonio import format_number
 
+    row_format = "%s" + ",%.12g" * len(columns)
+    rows = list(map(row_format.__mod__, zip(prefixes, *(c.tolist() for c in columns))))
+    redo = np.zeros(len(rows), dtype=bool)
+    for c in columns:
+        redo |= _unlike_g12(c)
+    for i in np.flatnonzero(redo).tolist():
+        prefix = rows[i].rsplit(",", len(columns))[0]
+        rows[i] = ",".join([prefix, *(format_number(c[i]) for c in columns)])
+    return "\n".join(chain((header,), rows)) + "\n"
+
+
+def samples_csv(ds: Dataset) -> str:
+    """Serialize charge curves to the samples.csv wire format."""
     lengths = [min(len(c.times), len(c.voltages)) for c in ds.cycles]
     t = np.fromiter(chain.from_iterable(c.times[:k] for c, k in zip(ds.cycles, lengths)),
                     float, sum(lengths))
@@ -519,19 +542,10 @@ def samples_csv(ds: Dataset) -> str:
                     float, sum(lengths))
     prefixes = chain.from_iterable(repeat(f"{ds.battery_id},{c.cycle_index}", k)
                                    for c, k in zip(ds.cycles, lengths))
-    rows = list(map("%s,%.12g,%.12g".__mod__, zip(prefixes, t.tolist(), v.tolist())))
-    for i in np.flatnonzero(_unlike_g12(t) | _unlike_g12(v)).tolist():
-        prefix = rows[i].rsplit(",", 2)[0]
-        rows[i] = f"{prefix},{format_number(t[i])},{format_number(v[i])}"
-    return "\n".join(chain((SAMPLES_HEADER,), rows)) + "\n"
+    return _csv_text(SAMPLES_HEADER, prefixes, (t, v))
 
 
 def capacity_csv(ds: Dataset) -> str:
-    from .jsonio import format_number
-
-    lines = [CAPACITY_HEADER]
-    for cyc in ds.cycles:
-        lines.append(
-            f"{ds.battery_id},{cyc.cycle_index},{format_number(cyc.discharge_capacity)}"
-        )
-    return "\n".join(lines) + "\n"
+    """Serialize the discharge capacities to the capacity.csv wire format."""
+    prefixes = (f"{ds.battery_id},{c.cycle_index}" for c in ds.cycles)
+    return _csv_text(CAPACITY_HEADER, prefixes, (ds.capacities(),))

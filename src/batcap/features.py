@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CycleRecord, Dataset
+from .data import CycleRecord, Dataset, _bad_token, _csv_text, _csv_tokens
 # Both names stay importable from here; they live in the leaf module.
 from .names import FEATURE_NAMES, FEATURE_UNITS
 
 _SMOOTH_WINDOW = 5  # centered moving average applied to dV/dt
+# Name and type of each column of a features CSV.
+_CSV_COLUMNS = (("cycle", int), *((name, float) for name in FEATURE_NAMES), ("target", float))
 
 
 @dataclass(frozen=True)
@@ -277,44 +279,21 @@ def segments_from_dict(obj: dict) -> VoltageSegments:
 
 
 def matrix_to_csv(m: FeatureMatrix) -> str:
-    from .jsonio import format_number
-
     header = "cycle," + ",".join(m.feature_names) + ",target"
-    lines = [header]
-    for cyc, row, target in zip(m.cycle_indices, m.X, m.y):
-        values = ",".join(format_number(x) for x in row)
-        lines.append(f"{cyc},{values},{format_number(target)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, m.cycle_indices, (*m.X.T, m.y))
 
 
 def matrix_from_csv(csv_text: str) -> FeatureMatrix:
     """Parse a features CSV; an error names the file line (blank lines counted)."""
-    lines = [(n, ln) for n, ln in enumerate(csv_text.replace("\r\n", "\n").split("\n"), start=1)
-             if ln.strip()]
-    if not lines:
-        raise ValueError("features CSV is empty")
-    header = lines[0][1].split(",")
-    expected = ["cycle", *FEATURE_NAMES, "target"]
-    if header != expected:
-        raise ValueError("features CSV header mismatch")
-    cycles, rows, targets = [], [], []
-    for line_no, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(expected):
-            raise ValueError(f"line {line_no}: expected {len(expected)} columns")
-        try:
-            cycles.append(int(parts[0]))
-            rows.append([float(x) for x in parts[1:-1]])
-            targets.append(float(parts[-1]))
-        except ValueError:
-            for name, token in zip(expected, parts):
-                try:
-                    (int if name == "cycle" else float)(token)
-                except ValueError:
-                    raise ValueError(f"line {line_no}: bad {name} value "
-                                     f"{token.strip()!r}") from None
+    tokens = _csv_tokens(csv_text, ",".join(name for name, _ in _CSV_COLUMNS))
+    n = len(_CSV_COLUMNS)
+    try:
+        cycles = tuple(map(int, tokens[0::n]))
+        columns = [list(map(float, tokens[j::n])) for j in range(1, n)]
+    except ValueError:
+        raise _bad_token(csv_text, tokens, _CSV_COLUMNS) from None
     return FeatureMatrix(
-        X=np.array(rows, dtype=float),
-        y=np.array(targets, dtype=float),
-        cycle_indices=tuple(cycles),
+        X=np.column_stack(columns[:-1]),
+        y=np.array(columns[-1]),
+        cycle_indices=cycles,
     )

@@ -297,8 +297,11 @@ def inputs(tmp_path_factory):
         (d / name).write_text(json.dumps(obj).replace('"HUGE"', "1e400").replace('"NAN"', "NaN"))
     segments = load_json(d / "segments.json")
     for name, vs1 in {"segments_vs1_object.json": {"a": 1},
-                      "segments_vs1_string.json": "x"}.items():
+                      "segments_vs1_string.json": "x",
+                      "segments_vs1_true.json": [True, segments["vs1"][1]]}.items():
         dump_json({**segments, "vs1": vs1}, d / name)
+    (d / "knn_k_true.json").write_text(json.dumps(_replaced(load_json(d / "knn.json"), "knn",
+                                                            k=True)))
     return d
 
 
@@ -603,7 +606,9 @@ def test_json_errors_name_the_file(inputs, args, bad, capsys):
         ["shap", "--model", f"@{model}", "--features", "@features.csv", "--out", "@out.json"],
     )],
     *[(["features", *DATASET, "--segments", f"@{seg}", "--out", "@out.csv"], seg)
-      for seg in BAD_SEGMENTS],
+      for seg in [*BAD_SEGMENTS, "segments_vs1_true.json"]],
+    # a boolean, which int(), float() and numpy would read as 1
+    (["predict", "--model", "@knn_k_true.json", "--input", "@vector.json"], "knn_k_true.json"),
     # a features CSV that is empty, has a bad header, a short row or a bad number
     *[(args, feats) for feats in ("empty.csv", "bad_header.csv", "short_row.csv", "bad_number.csv")
       for args in (
@@ -785,8 +790,7 @@ UNREAD_LEAVES = {"seed", "fusion", "alpha", "grid_mv", "reference_cycle"}
 # A fusion k beyond the training rows embeds from all of them, so 10**400 there is valid.
 CLAMPED_LEAVES = {("fusion", "k")}
 # What a mutation puts in place of a leaf. "cut" deletes a key, or cuts an
-# array at the leaf; "swap" puts in a value of another JSON type than the leaf's,
-# but not a boolean, which int(), float() and numpy read as a number.
+# array at the leaf; "swap" puts in a value of another JSON type than the leaf's.
 LEAF_MUTATIONS = ["cut", "swap", float("nan"), "1e400", 10 ** 400]
 
 
@@ -802,7 +806,7 @@ def _leaf_paths(obj, path=()):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(list(MUTANT_COMMANDS)), field_pick=st.integers(min_value=0),
        leaf_pick=st.integers(min_value=0), mutation=st.sampled_from(LEAF_MUTATIONS),
-       swap=st.sampled_from(["x", None, [], {}]))
+       swap=st.sampled_from(["x", None, [], {}, True, False]))
 def test_mutating_one_leaf_names_the_file(inputs, name, field_pick, leaf_pick, mutation, swap,
                                           capsys):
     obj = load_json(inputs / name)
@@ -830,6 +834,54 @@ def test_mutating_one_leaf_names_the_file(inputs, name, field_pick, leaf_pick, m
         err = capsys.readouterr().err
         assert code in (2, 3, 4), f"batcap {' '.join(args)} -> exit {code} at {parents}, {key}"
         assert err.count("\n") == 1 and str(mutant) in err, err
+
+
+
+FEATURES_COLUMNS = ["cycle", *features.FEATURE_NAMES, "target"]
+CSV_READERS = [
+    ["correlate", "--features", "@broken.csv", "--out", "@out.json"],
+    ["evaluate", "--model", "@model.json", "--features", "@broken.csv", "--out", "@out.json"],
+    ["shap", "--model", "@model.json", "--features", "@broken.csv", "--out", "@out.json"],
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fault=st.sampled_from(["token", "short", "long"]), row_pick=st.integers(min_value=0),
+       column_pick=st.integers(min_value=0), token=st.sampled_from(["x", "", " ", "1.2.3", "0x1f"]),
+       blank=st.none() | st.tuples(st.integers(min_value=0), st.sampled_from(["", " ", "\t"])),
+       newline=st.sampled_from(["lf", "crlf", "one crlf"]))
+def test_a_broken_features_csv_names_the_file_and_line(inputs, fault, row_pick, column_pick,
+                                                       token, blank, newline, capsys):
+    header, *rows = (inputs / "features.csv").read_text().splitlines()
+    row = row_pick % len(rows)
+    cells = rows[row].split(",")
+    column = column_pick % len(cells)
+    if fault == "token":
+        cells[column] = token
+        message = f"bad {FEATURES_COLUMNS[column]} value {token.strip()!r}"
+    elif fault == "short":
+        del cells[column]
+    else:
+        cells.insert(column, "1")
+    if fault != "token":
+        message = f"expected {len(FEATURES_COLUMNS)} columns, got {len(cells)}"
+    rows[row] = ",".join(cells)
+    lines, line_no = [header, *rows], row + 2
+    if blank is not None:
+        at = blank[0] % (len(lines) + 1)
+        lines.insert(at, blank[1])
+        line_no += at < line_no
+    message = (f"line {line_no}: {message}" if lines[0] == header
+               else f"expected header {','.join(FEATURES_COLUMNS)!r}")
+    endings = ["\r\n" if newline == "crlf" else "\n"] * len(lines)
+    if newline == "one crlf":
+        endings[row_pick % len(lines)] = "\r\n"
+    broken = inputs / "broken.csv"
+    broken.write_bytes("".join(map(str.__add__, lines, endings)).encode())
+    for args in CSV_READERS:
+        assert main(_expand(inputs, args)) == 4
+        assert capsys.readouterr().err == f"ERROR 4: {broken}: {message}\n"
 
 
 def test_shap_background_is_the_train_split_mean(inputs, capsys):

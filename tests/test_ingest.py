@@ -17,7 +17,7 @@ from batcap.data import (
     _V_END_DRIFT, _V_END_OFFSET, _V_START_OFFSET, CAPACITY_HEADER, SAMPLES_HEADER, CycleRecord,
     Dataset, SynthConfig,
 )
-from batcap.features import LineFit, VoltageSegments
+from batcap.features import FeatureMatrix, LineFit, VoltageSegments
 from batcap.rng import Rng, derive_seed
 
 
@@ -212,6 +212,28 @@ def _ref_samples_csv(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+
+def _ref_capacity_csv(ds: Dataset) -> str:
+    from batcap.jsonio import format_number
+
+    lines = [CAPACITY_HEADER]
+    for cyc in ds.cycles:
+        lines.append(
+            f"{ds.battery_id},{cyc.cycle_index},{format_number(cyc.discharge_capacity)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _ref_matrix_to_csv(m: FeatureMatrix) -> str:
+    from batcap.jsonio import format_number
+
+    header = "cycle," + ",".join(m.feature_names) + ",target"
+    lines = [header]
+    for cyc, row, target in zip(m.cycle_indices, m.X, m.y):
+        values = ",".join(format_number(x) for x in row)
+        lines.append(f"{cyc},{values},{format_number(target)}")
+    return "\n".join(lines) + "\n"
+
 def _ref_fit_charging_line(rec: CycleRecord) -> LineFit:
     """Ordinary least squares of voltage on time over the whole cycle."""
     t = rec.time_array()
@@ -361,6 +383,41 @@ def test_samples_csv_rejects_non_finite_values_as_the_reference(bad):
         data.samples_csv(ds)
     assert str(got.value) == str(expected.value)
 
+
+
+SPECIAL_VALUES = (-0.0, 0.0, 1.0, 170.0, 999999999999.0, 1e12, 123456789012345.0, 1e15,
+                  1 / 3, 2.5e-7, -1e13)
+
+
+def _special_matrix() -> FeatureMatrix:
+    """Every special value in every column: row i is the values rotated by i."""
+    n = len(features.FEATURE_NAMES)
+    X = np.array([np.roll(SPECIAL_VALUES, -i)[np.arange(n) % len(SPECIAL_VALUES)]
+                  for i in range(len(SPECIAL_VALUES))])
+    return FeatureMatrix(X, np.array(SPECIAL_VALUES[::-1]), tuple(range(1, len(X) + 1)))
+
+
+def test_capacity_and_features_csv_match_the_reference_on_special_values():
+    ds = Dataset("cell,7", 170.0, tuple(CycleRecord(i, (), (), q)
+                                        for i, q in enumerate(SPECIAL_VALUES, start=1)))
+    assert data.capacity_csv(ds) == _ref_capacity_csv(ds)
+    m = _special_matrix()
+    assert features.matrix_to_csv(m) == _ref_matrix_to_csv(m)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_capacity_and_features_csv_reject_non_finite_values_as_the_reference(bad):
+    ds = Dataset("b", 170.0, (CycleRecord(1, (), (), 170.0), CycleRecord(2, (), (), bad)))
+    m = _special_matrix()
+    m.X[3, 5] = bad  # the matrix checked its values when it was made
+    m.y[4] = -bad
+    for write, reference, arg in ((data.capacity_csv, _ref_capacity_csv, ds),
+                                  (features.matrix_to_csv, _ref_matrix_to_csv, m)):
+        with pytest.raises(ValueError) as expected:
+            reference(arg)
+        with pytest.raises(ValueError) as got:
+            write(arg)
+        assert str(got.value) == str(expected.value)
 
 def _rows(cycles, n=11, battery="b", sep=","):
     """Sample rows of the given cycle numbers, in order, each with rising t and v."""
