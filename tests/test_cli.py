@@ -859,13 +859,12 @@ def test_a_broken_features_csv_names_the_file_and_line(inputs, fault, row_pick, 
     column = column_pick % len(cells)
     if fault == "token":
         cells[column] = token
-        message = f"bad {FEATURES_COLUMNS[column]} value {token.strip()!r}"
     elif fault == "short":
         del cells[column]
     else:
         cells.insert(column, "1")
-    if fault != "token":
-        message = f"expected {len(FEATURES_COLUMNS)} columns, got {len(cells)}"
+    message = (f"bad {FEATURES_COLUMNS[column]} value {token.strip()!r}" if fault == "token"
+               else f"expected {len(FEATURES_COLUMNS)} columns, got {len(cells)}")
     rows[row] = ",".join(cells)
     lines, line_no = [header, *rows], row + 2
     if blank is not None:
