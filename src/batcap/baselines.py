@@ -15,6 +15,9 @@ import numpy as np
 
 from .rng import Rng, derive_seed, uniform_lanes
 
+# Other tags of a baseline kind, read by baseline_fit and baseline_to_dict.
+KIND_ALIASES = {"rf": "forest"}
+
 
 class KnnRegressor:
     """Mean of the k nearest training targets (Euclidean on z-scored features)."""
@@ -274,11 +277,12 @@ class GradientBoosting:
 
 def baseline_fit(kind: str, X, y, seed: int = 0):
     """Fit a baseline with its documented defaults, chosen by kind tag."""
+    kind = KIND_ALIASES.get(kind, kind)
     if kind == "knn":
         model = KnnRegressor()
     elif kind == "tree":
         model = RegressionTree(seed=seed)
-    elif kind in ("forest", "rf"):
+    elif kind == "forest":
         model = RandomForest(seed=seed)
     elif kind == "gbrt":
         model = GradientBoosting()
@@ -313,8 +317,15 @@ def _tree_from_dict(obj: dict, n_features: int) -> _Node:
     return node
 
 
+def _decoded_tree(obj: dict, n_features: int) -> RegressionTree:
+    tree = RegressionTree()
+    tree._root = _tree_from_dict(obj, n_features)
+    return tree
+
+
 def baseline_to_dict(model, kind: str, seed: int = 0) -> dict:
-    """Serialize any baseline into the model.json layout."""
+    """Serialize any baseline into the model.json layout; an alias is written as its kind."""
+    kind = KIND_ALIASES.get(kind, kind)
     if kind == "knn":
         return {
             "kind": "knn",
@@ -370,16 +381,10 @@ def baseline_from_dict(obj: dict, n_features: int):
             raise ValueError("knn numbers must be finite")
         return model
     if kind == "tree":
-        model = RegressionTree()
-        model._root = _tree_from_dict(obj["tree"], n_features)
-        return model
+        return _decoded_tree(obj["tree"], n_features)
     if kind == "forest":
         model = RandomForest()
-        model._trees = []
-        for tree_obj in obj["forest"]["trees"]:
-            tree = RegressionTree()
-            tree._root = _tree_from_dict(tree_obj, n_features)
-            model._trees.append(tree)
+        model._trees = [_decoded_tree(tree, n_features) for tree in obj["forest"]["trees"]]
         if not model._trees:
             raise ValueError("a forest needs at least one tree")
         return model
@@ -389,10 +394,6 @@ def baseline_from_dict(obj: dict, n_features: int):
         model._base = float(section["base"])
         if not math.isfinite(model._base):
             raise ValueError("gbrt base must be finite")
-        model._trees = []
-        for tree_obj in section["trees"]:
-            tree = RegressionTree()
-            tree._root = _tree_from_dict(tree_obj, n_features)
-            model._trees.append(tree)
+        model._trees = [_decoded_tree(tree, n_features) for tree in section["trees"]]
         return model
     raise ValueError(f"unknown baseline kind {kind!r}")

@@ -45,26 +45,39 @@ MIN_SAMPLES_PER_CYCLE = 10
 class CycleRecord:
     """One charge cycle: sample arrays plus measured discharge capacity.
 
+    ``times`` and ``voltages`` are read-only float64 arrays; sequences given
+    in their place are copied into such arrays once, here. ``parse_samples``
+    and ``synth_dataset`` make them views into the cell's flat sample arrays.
     ``discharge_capacity`` is None until a capacity file has been joined in.
     Validation is explicit (``validate()``) so feature-level helpers can work
     on short hand-built records in tests.
     """
 
     cycle_index: int
-    times: tuple[float, ...]
-    voltages: tuple[float, ...]
+    times: np.ndarray
+    voltages: np.ndarray
     discharge_capacity: float | None = None
+
+    def __post_init__(self):
+        for name in ("times", "voltages"):  # a read-only float64 array is kept as it is
+            values = getattr(self, name)
+            if getattr(values, "dtype", None) != float or values.flags.writeable:
+                object.__setattr__(self, name, np.array(values, dtype=float))
+                getattr(self, name).flags.writeable = False
+
+    def __eq__(self, other):  # equal fields, the samples compared element by element
+        return isinstance(other, CycleRecord) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
 
     def validate(self) -> None:
         """Check the samples; ``Dataset.validate`` checks the joined-in capacity."""
-        _check_runs([self.cycle_index], np.asarray(self.times), np.asarray(self.voltages),
-                    [0, len(self.times)])
+        _check_runs([self.cycle_index], self.times, self.voltages, [0, len(self.times)])
 
     def time_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
+        return self.times
 
     def voltage_array(self) -> np.ndarray:
-        return np.asarray(self.voltages, dtype=float)
+        return self.voltages
 
 
 @dataclass(frozen=True)
@@ -242,8 +255,8 @@ def parse_samples(csv_text: str) -> list[CycleRecord]:
     cycle_tokens = tokens[1::4]
     try:
         value_of = {token: int(token) for token in dict.fromkeys(cycle_tokens)}
-        times = list(map(float, tokens[2::4]))
-        voltages = list(map(float, tokens[3::4]))
+        t = np.fromiter(map(float, tokens[2::4]), float, len(cycle_tokens))
+        v = np.fromiter(map(float, tokens[3::4]), float, len(cycle_tokens))
     except ValueError:
         raise _bad_token(csv_text, tokens, _SAMPLE_COLUMNS) from None
     del tokens
@@ -253,15 +266,14 @@ def parse_samples(csv_text: str) -> list[CycleRecord]:
                   for token, value in value_of.items()}
     codes = np.fromiter(map(token_code.__getitem__, cycle_tokens), np.intp, len(cycle_tokens))
     del cycle_tokens
-    t, v = np.array(times), np.array(voltages)
     if np.any(codes[1:] < codes[:-1]):  # a cycle's rows are split up: gather them
         order = np.argsort(codes, kind="stable")
         t, v = t[order], v[order]
-        times, voltages = t.tolist(), v.tolist()
     bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(code_of))).tolist()]
     cycles = list(code_of)
     _check_runs(cycles, t, v, bounds)
-    return [CycleRecord(cycle_index=c, times=tuple(times[a:b]), voltages=tuple(voltages[a:b]))
+    t.flags.writeable = v.flags.writeable = False
+    return [CycleRecord(cycle_index=c, times=t[a:b], voltages=v[a:b])
             for c, a, b in zip(cycles, bounds, bounds[1:])]
 
 
@@ -490,14 +502,9 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
         voltage += np.minimum(np.maximum(eps, -clip), clip)
 
     bounds = np.concatenate(([0], np.cumsum(n_samples))).tolist()
-    times, voltages = tau.tolist(), voltage.tolist()
+    tau.flags.writeable = voltage.flags.writeable = False
     cycles = tuple(
-        CycleRecord(
-            cycle_index=c,
-            times=tuple(times[a:b]),
-            voltages=tuple(voltages[a:b]),
-            discharge_capacity=cap,
-        )
+        CycleRecord(cycle_index=c, times=tau[a:b], voltages=voltage[a:b], discharge_capacity=cap)
         for c, a, b, cap in zip(cycle_nos, bounds, bounds[1:], q.tolist())
     )
     ds = Dataset(battery_id="synthetic", nominal_capacity=cfg.q0, cycles=cycles)
@@ -536,10 +543,8 @@ def _csv_text(header: str, prefixes, columns) -> str:
 def samples_csv(ds: Dataset) -> str:
     """Serialize charge curves to the samples.csv wire format."""
     lengths = [min(len(c.times), len(c.voltages)) for c in ds.cycles]
-    t = np.fromiter(chain.from_iterable(c.times[:k] for c, k in zip(ds.cycles, lengths)),
-                    float, sum(lengths))
-    v = np.fromiter(chain.from_iterable(c.voltages[:k] for c, k in zip(ds.cycles, lengths)),
-                    float, sum(lengths))
+    t = np.concatenate([np.empty(0), *(c.times[:k] for c, k in zip(ds.cycles, lengths))])
+    v = np.concatenate([np.empty(0), *(c.voltages[:k] for c, k in zip(ds.cycles, lengths))])
     prefixes = chain.from_iterable(repeat(f"{ds.battery_id},{c.cycle_index}", k)
                                    for c, k in zip(ds.cycles, lengths))
     return _csv_text(SAMPLES_HEADER, prefixes, (t, v))

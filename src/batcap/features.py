@@ -14,6 +14,10 @@ start/end/time/line-fit descriptors of the same curve):
   F9 time of entry into VS2 F10 time of entry into VS3
   F11 time-weighted mean voltage                    F12 time spent in VS3
   F13 median sample voltage
+
+The features of a cycle come from one array kernel (``_feature_block``), run
+once per group of cycles with equal sample counts; each row gets the bits it
+gets alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CycleRecord, Dataset, _bad_token, _csv_text, _csv_tokens
+from .data import CycleRecord, Dataset, _bad_token, _csv_text, _csv_tokens, _line_no
 # Both names stay importable from here; they live in the leaf module.
 from .names import FEATURE_NAMES, FEATURE_UNITS
 
@@ -44,6 +48,10 @@ class VoltageSegments:
             raise ValueError("segments must be contiguous")
         if not (self.vs1[0] < self.vs1[1] < self.vs2[1] < self.vs3[1]):
             raise ValueError("segment boundaries must be strictly increasing")
+
+    def levels(self) -> tuple[float, float, float, float]:
+        """The four boundaries, lowest first: where a cycle's crossing times are taken."""
+        return (self.vs1[0], self.vs2[0], self.vs3[0], self.vs3[1])
 
 
 @dataclass(frozen=True)
@@ -74,24 +82,12 @@ class FeatureMatrix:
 
 def fit_charging_line(rec: CycleRecord) -> LineFit:
     """Ordinary least squares of voltage on time over the whole cycle."""
-    return _line_fit(rec.time_array(), rec.voltage_array())
-
-
-def _line_fit(t: np.ndarray, v: np.ndarray) -> LineFit:
-    if len(t) < 2:
-        raise ValueError("need at least 2 samples to fit a line")
-    t_mean = t.mean()
-    v_mean = v.mean()
-    stt = float(np.sum((t - t_mean) ** 2))
-    if stt == 0.0:
-        raise ValueError("all sample times identical; slope undefined")
-    slope = float(np.sum((t - t_mean) * (v - v_mean)) / stt)
-    intercept = float(v_mean - slope * t_mean)
-    ss_res = float(np.sum((v - (slope * t + intercept)) ** 2))
-    ss_tot = float(np.sum((v - v_mean) ** 2))
-    # Constant voltage fits exactly with slope 0; report a perfect fit.
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return LineFit(slope=slope, intercept=intercept, r2=r2)
+    if len(rec.times) < 2:
+        raise ValueError(_FAULTS[0])
+    X, stt, r2 = _feature_block(rec.times[None], rec.voltages[None], (0.0,) * 4)  # levels unused
+    if stt[0] == 0.0:
+        raise ValueError(_FAULTS[1])
+    return LineFit(slope=float(X[0, 3]), intercept=float(X[0, 4]), r2=float(r2[0]))
 
 
 def _smoothed_derivative(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -99,15 +95,9 @@ def _smoothed_derivative(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     deriv = np.empty(n)
     deriv[0] = (v[1] - v[0]) / (t[1] - t[0])
     deriv[-1] = (v[-1] - v[-2]) / (t[-1] - t[-2])
-    if n > 2:
-        deriv[1:-1] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
+    deriv[1:-1] = (v[2:] - v[:-2]) / (t[2:] - t[:-2])
     half = _SMOOTH_WINDOW // 2
-    smoothed = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        smoothed[i] = deriv[lo:hi].mean()
-    return smoothed
+    return np.array([deriv[max(0, i - half):i + half + 1].mean() for i in range(n)])
 
 
 def _snap_to_grid(x: float, grid: float) -> float:
@@ -127,24 +117,15 @@ def detect_segments(reference: CycleRecord, alpha: float = 0.5,
         raise ValueError("alpha must be positive")
     if grid_mv <= 0:
         raise ValueError("grid_mv must be positive")
-    t = reference.time_array()
-    v = reference.voltage_array()
+    t, v = reference.times, reference.voltages
     grid = grid_mv / 1000.0
     if v[-1] - v[0] < 3 * grid:
         raise ValueError("reference curve spans less than 3 grid steps of voltage")
     smoothed = _smoothed_derivative(t, v)
     threshold = alpha * float(np.median(smoothed))
     below = smoothed <= threshold
-    runs = []
-    start = None
-    for i, flag in enumerate(below):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(below) - 1))
+    edges = np.flatnonzero(np.diff(below, prepend=False, append=False)).tolist()
+    runs = list(zip(edges[0::2], [end - 1 for end in edges[1::2]]))  # first and last sample
     if not runs:
         raise ValueError(
             "no plateau found: derivative never drops below the threshold; "
@@ -154,8 +135,7 @@ def detect_segments(reference: CycleRecord, alpha: float = 0.5,
     lo = _snap_to_grid(float(v[best[0]]), grid)
     hi = _snap_to_grid(float(v[best[1]]), grid)
     # Keep the snapped band strictly inside the curve's voltage span.
-    v_first = float(v[0])
-    v_last = float(v[-1])
+    v_first, v_last = float(v[0]), float(v[-1])
     while lo <= v_first:
         lo += grid
     while hi >= v_last:
@@ -173,24 +153,8 @@ def first_crossing_time(rec: CycleRecord, level: float) -> float:
     Linear interpolation between the bracketing samples; t[0] if the curve
     starts at or above the level, t[-1] if it never gets there.
     """
-    return _crossing_time(rec.time_array(), rec.voltage_array(), level)
-
-
-def _crossing_time(t: np.ndarray, v: np.ndarray, level: float) -> float:
-    if v[0] >= level:
-        return float(t[0])
-    above = np.nonzero(v >= level)[0]
-    if len(above) == 0:
-        return float(t[-1])
-    i = int(above[0])
-    frac = (level - v[i - 1]) / (v[i] - v[i - 1])
-    return float(t[i - 1] + frac * (t[i] - t[i - 1]))
-
-
-def _entry_times(t: np.ndarray, v: np.ndarray, seg: VoltageSegments) -> list[float]:
-    """First-crossing times of the four segment boundaries, lowest first."""
-    return [_crossing_time(t, v, level) for level in (seg.vs1[0], seg.vs2[0], seg.vs3[0],
-                                                      seg.vs3[1])]
+    X = _feature_block(rec.times[None], rec.voltages[None], (level,) * 4)[0]
+    return float(X[0, 5])  # F6: the crossing of the first level
 
 
 def segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, float, float]:
@@ -200,60 +164,91 @@ def segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, float,
     non-negative and exactly partitions the total charge time whenever the
     curve spans all three segments.
     """
-    e0, e1, e2, e3 = _entry_times(rec.time_array(), rec.voltage_array(), seg)
-    return (e1 - e0, e2 - e1, e3 - e2)
+    X = _feature_block(rec.times[None], rec.voltages[None], seg.levels())[0]
+    return tuple(X[0, [6, 7, 11]].tolist())  # F7, F8, F12
+
+
+def _feature_block(T: np.ndarray, V: np.ndarray, levels) -> tuple[np.ndarray, ...]:
+    """F1-F13 of k cycles of n >= 1 samples each, with the line fit's stt and r2.
+
+    Row i of the C-contiguous (k, n) blocks ``T`` and ``V`` holds cycle i's
+    samples; ``levels`` are the crossing levels of F6, F9, F10 and the end of
+    VS3. A sum, mean or median along the last axis gives each row the bits it
+    gets alone. A division by zero gives inf or nan silently.
+    """
+    levels = np.asarray(levels, dtype=float)
+    rows = np.arange(len(T))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_mean, v_mean = T.mean(axis=1), V.mean(axis=1)
+        dt, dv = T - t_mean[:, None], V - v_mean[:, None]
+        stt = (dt ** 2).sum(axis=1)
+        slope = (dt * dv).sum(axis=1) / stt
+        intercept = v_mean - slope * t_mean
+        ss_res = ((V - (slope[:, None] * T + intercept[:, None])) ** 2).sum(axis=1)
+        ss_tot = (dv ** 2).sum(axis=1)
+        # A constant voltage fits exactly: r2 = 1. fmin takes nan to 1.0, as min() does.
+        r2 = np.where(ss_tot == 0.0, 1.0, np.fmax(0.0, np.fmin(1.0, 1.0 - ss_res / ss_tot)))
+        # Interpolate between the first sample at or above each level and the
+        # one before: t[0] if the curve starts there, t[-1] if it never gets there.
+        reached = V[:, None, :] >= levels[:, None]  # (k, 4, n)
+        hi = np.minimum(np.maximum(reached.argmax(axis=2), 1), V.shape[1] - 1)
+        lo = np.maximum(hi - 1, 0)
+        frac = (levels - V[rows, lo]) / (V[rows, hi] - V[rows, lo])
+        crossed = np.where(reached.any(axis=2), T[rows, lo] + frac * (T[rows, hi] - T[rows, lo]),
+                           T[:, -1:])
+        e0, e1, e2, e3 = np.where(V[:, :1] >= levels, T[:, :1], crossed).T
+        total = T[:, -1] - T[:, 0]
+        mean_v = np.where(total > 0, np.trapezoid(V, T, axis=1) / total, v_mean)
+    X = np.column_stack((V[:, 0], V[:, -1], total, slope, intercept, e0, e1 - e0, e2 - e1,
+                         e1, e2, mean_v, e3 - e2, np.median(V, axis=1)))
+    return X, stt, r2
+
+
+# Why a cycle has no feature row, in the order a cycle is checked.
+_FAULTS = ("need at least 2 samples to fit a line", "all sample times identical; slope undefined",
+           "time/voltage length mismatch", "cycle {}: non-finite feature values")
+
+
+def _feature_rows(cycles, seg: VoltageSegments) -> tuple[np.ndarray, list[str | None]]:
+    """F1-F13 of each cycle, one ``_feature_block`` run per sample count, and
+    why each cycle has no features (None where it has them)."""
+    n = np.array([len(c.times) for c in cycles], dtype=np.intp)
+    fault = np.where(n < 2, 0, np.where(n != [len(c.voltages) for c in cycles], 2, -1))
+    X, levels = np.zeros((len(cycles), len(FEATURE_NAMES))), seg.levels()
+    for size in np.unique(n[fault < 0]).tolist():
+        rows = np.flatnonzero((n == size) & (fault < 0))
+        X[rows], stt, _ = _feature_block(np.stack([cycles[i].times for i in rows]),
+                                         np.stack([cycles[i].voltages for i in rows]), levels)
+        fault[rows] = np.where(stt == 0.0, 1, np.where(np.isfinite(X[rows]).all(axis=1), -1, 3))
+    return X, [_FAULTS[f].format(c.cycle_index) if f >= 0 else None
+               for c, f in zip(cycles, fault.tolist())]
 
 
 def extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
     """The 13-feature vector for one cycle (see module docstring for mapping)."""
-    t = rec.time_array()
-    v = rec.voltage_array()
-    fit = _line_fit(t, v)
-    e0, e1, e2, e3 = _entry_times(t, v, seg)
-    total_time = float(t[-1] - t[0])
-    mean_v = float(np.trapezoid(v, t) / total_time) if total_time > 0 else float(v.mean())
-    features = np.array([
-        v[0],                                # F1
-        v[-1],                               # F2
-        total_time,                          # F3
-        fit.slope,                           # F4
-        fit.intercept,                       # F5
-        e0,                                  # F6
-        e1 - e0,                             # F7
-        e2 - e1,                             # F8
-        e1,                                  # F9
-        e2,                                  # F10
-        mean_v,                              # F11
-        e3 - e2,                             # F12
-        float(np.median(v)),                 # F13
-    ], dtype=float)
-    if not np.all(np.isfinite(features)):
-        raise ValueError(f"cycle {rec.cycle_index}: non-finite feature values")
-    return features
+    X, (fault,) = _feature_rows((rec,), seg)
+    if fault:
+        raise ValueError(fault)
+    return X[0]
 
 
 def build_matrix(ds: Dataset, seg: VoltageSegments,
                  target_mode: str = "raw") -> FeatureMatrix:
-    """One feature row per cycle; target is capacity (raw mAh or normalized)."""
+    """One feature row per cycle; target is capacity (raw mAh or normalized).
+
+    An error names the first cycle, in cycle order, that has no features.
+    """
     if target_mode not in ("raw", "normalized"):
         raise ValueError("target_mode must be 'raw' or 'normalized'")
-    rows = []
-    targets = []
-    for cyc in ds.cycles:
-        try:
-            rows.append(extract_features(cyc, seg))
-        except ValueError as exc:
-            raise ValueError(f"feature extraction failed at cycle {cyc.cycle_index}: {exc}") from exc
-        target = cyc.discharge_capacity
-        if target_mode == "normalized":
-            target = target / ds.nominal_capacity
-        targets.append(target)
-    return FeatureMatrix(
-        X=np.array(rows, dtype=float),
-        y=np.array(targets, dtype=float),
-        cycle_indices=tuple(c.cycle_index for c in ds.cycles),
-        target_name="capacity_mah" if target_mode == "raw" else "capacity_ratio",
-    )
+    X, faults = _feature_rows(ds.cycles, seg)
+    for cyc, fault in zip(ds.cycles, faults):
+        if fault:
+            raise ValueError(f"feature extraction failed at cycle {cyc.cycle_index}: {fault}")
+    y = ds.capacities()
+    if target_mode == "normalized":
+        y = y / ds.nominal_capacity
+    return FeatureMatrix(X, y, tuple(c.cycle_index for c in ds.cycles),
+                         target_name="capacity_mah" if target_mode == "raw" else "capacity_ratio")
 
 
 def segments_to_dict(seg: VoltageSegments, alpha: float, grid_mv: float,
@@ -284,7 +279,8 @@ def matrix_to_csv(m: FeatureMatrix) -> str:
 
 
 def matrix_from_csv(csv_text: str) -> FeatureMatrix:
-    """Parse a features CSV; an error names the file line (blank lines counted)."""
+    """Parse a features CSV; an error names the file line (blank lines counted)
+    and, for a number that is not one or not finite, the column."""
     tokens = _csv_tokens(csv_text, ",".join(name for name, _ in _CSV_COLUMNS))
     n = len(_CSV_COLUMNS)
     try:
@@ -292,8 +288,10 @@ def matrix_from_csv(csv_text: str) -> FeatureMatrix:
         columns = [list(map(float, tokens[j::n])) for j in range(1, n)]
     except ValueError:
         raise _bad_token(csv_text, tokens, _CSV_COLUMNS) from None
-    return FeatureMatrix(
-        X=np.column_stack(columns[:-1]),
-        y=np.array(columns[-1]),
-        cycle_indices=cycles,
-    )
+    X, y = np.column_stack(columns[:-1]), np.array(columns[-1])
+    bad = np.argwhere(~np.isfinite(np.column_stack((X, y))))
+    if len(bad):
+        row, col = bad[0].tolist()
+        raise ValueError(f"line {_line_no(csv_text, row)}: non-finite {_CSV_COLUMNS[col + 1][0]} "
+                         f"value {tokens[row * n + col + 1].strip()!r}")
+    return FeatureMatrix(X=X, y=y, cycle_indices=cycles)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from batcap import baselines as bl
+from batcap import baselines as bl, modelio
 from batcap.rng import Rng
 
 
@@ -167,6 +167,16 @@ def test_serialization_round_trip(kind):
         model = bl.GradientBoosting(n_trees=10).fit(X, y)
     back = bl.baseline_from_dict(bl.baseline_to_dict(model, kind), X.shape[1])
     assert np.allclose(model.predict(X), back.predict(X), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [*modelio.BASELINE_KINDS, *bl.KIND_ALIASES])
+def test_every_kind_baseline_fit_accepts_round_trips_through_a_model_dict(kind):
+    X, y = toy_regression(30, seed=37)
+    model = bl.baseline_fit(kind, X, y, seed=2)
+    obj = bl.baseline_to_dict(model, kind, seed=2)
+    assert obj["kind"] in modelio.BASELINE_KINDS
+    back = bl.baseline_from_dict(obj, X.shape[1])
+    assert np.array_equal(model.predict(X), back.predict(X))
 
 
 def test_baseline_fit_predict_wrappers():

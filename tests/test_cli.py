@@ -250,6 +250,11 @@ def inputs(tmp_path_factory):
     cells = first.split(",")
     cells[3] = "x"  # F3
     (d / "bad_number.csv").write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+    for value in NON_FINITE_CELLS:  # in F5 of the second row
+        cells = rows[0].split(",")
+        cells[5] = value
+        (d / f"features_{value}.csv").write_text(
+            "\n".join([header, first, ",".join(cells), *rows[1:]]) + "\n")
     (d / "not_utf8.bin").write_bytes(b'{"n_cycles": "\xff"}')
     # capacity files with a second battery id, and with a NaN or infinite capacity
     header, *rows = (d / "capacity.csv").read_text().splitlines()
@@ -385,6 +390,7 @@ MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.j
 BAD_SEGMENTS = ["segments_vs1_object.json", "segments_vs1_string.json"]
 
 
+NON_FINITE_CELLS = ("nan", "inf", "-inf", "1e400")
 NON_FINITE_VECTORS = {"nan_vector.json": float("nan"), "inf_vector.json": float("inf"),
                       "neg_inf_vector.json": float("-inf")}
 
@@ -419,6 +425,8 @@ MALFORMED = [
     (["predict", "--model", "@model.json", "--input", "@short_vector.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@str_vector.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@bool_vector.json"], 4),
+    *[(["train", "--features", f"@features_{value}.csv", "--model-out", "@out.json"], 4)
+      for value in NON_FINITE_CELLS],
     (["correlate", "--features", "@empty.csv", "--out", "@out.json"], 4),
     (["fuse", "--features", "@empty.csv", "--out", "@out.json"], 4),
     (["train", "--features", "@empty.csv", "--model-out", "@out.json"], 4),
@@ -881,6 +889,15 @@ def test_a_broken_features_csv_names_the_file_and_line(inputs, fault, row_pick, 
     for args in CSV_READERS:
         assert main(_expand(inputs, args)) == 4
         assert capsys.readouterr().err == f"ERROR 4: {broken}: {message}\n"
+
+
+@pytest.mark.parametrize("value", NON_FINITE_CELLS)
+def test_a_non_finite_features_cell_names_the_file_line_and_column(inputs, value, capsys):
+    for args in CSV_READERS:
+        args = [f"@features_{value}.csv" if a == "@broken.csv" else a for a in args]
+        assert main(_expand(inputs, args)) == 4
+        assert capsys.readouterr().err == (f"ERROR 4: {inputs / f'features_{value}.csv'}: "
+                                           f"line 3: non-finite F5 value '{value}'\n")
 
 
 def test_shap_background_is_the_train_split_mean(inputs, capsys):

@@ -217,6 +217,21 @@ def test_matrix_from_csv_names_the_line_and_column_of_a_bad_number(synth_matrix,
         features.matrix_from_csv(text)
 
 
+@pytest.mark.parametrize("column,value", [("F5", "nan"), ("F13", "inf"), ("target", "-inf"),
+                                          ("F1", "1e400")])
+def test_matrix_from_csv_names_the_line_and_column_of_a_non_finite_number(synth_matrix, column,
+                                                                          value):
+    lines = features.matrix_to_csv(synth_matrix).split("\n")
+    header = lines[0].split(",")
+    for i in (3, 5):  # the first such row is named
+        row = lines[i].split(",")
+        row[header.index(column)] = value
+        lines[i] = ",".join(row)
+    text = "\n".join(lines[:2] + ["  "] + lines[2:])  # a blank line before the bad row counts
+    with pytest.raises(ValueError, match=f"^line 5: non-finite {column} value '{value}'$"):
+        features.matrix_from_csv(text)
+
+
 @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
 def test_segments_from_dict_rejects_non_finite_bounds(synth_segments, bound):
     obj = features.segments_to_dict(synth_segments, 0.5, 10.0, 95)

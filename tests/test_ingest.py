@@ -6,6 +6,8 @@ per-line and per-sample code below, transcribed unchanged from before the
 array passes (only the names carry a ``_ref`` prefix).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,7 +339,7 @@ def synth_pair(request):
 
 def test_synth_matches_the_per_sample_reference(synth_pair):
     ds, ref = synth_pair
-    assert ds == ref
+    assert (ds.battery_id, ds.nominal_capacity) == (ref.battery_id, ref.nominal_capacity)
     assert _bits(ds.cycles) == _bits(ref.cycles)
 
 
@@ -350,8 +352,9 @@ def test_parse_matches_the_reference_on_synthetic_csv(synth_pair):
     text = _ref_samples_csv(synth_pair[1])
     records = data.parse_samples(text)
     expected = _ref_parse_samples(text)
-    assert records == expected
     assert _bits(records) == _bits(expected)
+    # the benchmark's data.rows_parsed counter reads this sum
+    assert sum(len(c.times) for c in records) == len(text.splitlines()) - 1
 
 
 def test_features_match_the_reference(synth_pair):
@@ -362,6 +365,83 @@ def test_features_match_the_reference(synth_pair):
     for cyc in ds.cycles[:: max(1, len(ds) // 20)]:
         assert features.segment_times(cyc, seg) == _ref_segment_times(cyc, seg)
         assert features.fit_charging_line(cyc) == _ref_fit_charging_line(cyc)
+
+
+def _ramp(cycle, n, top=3.6, nan_at=None, flat_start=False):
+    """A record of n samples rising from 3.0 V to ``top``; a NaN voltage at
+    ``nan_at``, or a first step with no rise."""
+    v = np.linspace(3.0, top, n)
+    if nan_at is not None:
+        v[nan_at] = np.nan
+    if flat_start:
+        v[1] = v[0]
+    return CycleRecord(cycle, 10.0 * np.arange(n), v, 171.0 - cycle)
+
+
+RAMP_SEGMENTS = VoltageSegments((3.0, 3.2), (3.2, 3.4), (3.4, 3.5))
+
+
+def _per_cycle_error(ds, seg):
+    """The error the per-cycle build_matrix loop raised around the reference
+    extraction: that of the first cycle that fails, in cycle order."""
+    for cyc in ds.cycles:
+        try:
+            _ref_extract_features(cyc, seg)
+        except ValueError as exc:
+            return f"feature extraction failed at cycle {cyc.cycle_index}: {exc}"
+    return None
+
+
+def test_build_matrix_names_the_first_failing_cycle_across_groups():
+    # Three sample counts. Cycles 2 and 4 give non-finite features; cycle 2
+    # is in the group of 31 samples, which is reduced after the group of 12.
+    # Cycle 3 never reaches the top level and starts flat: its unused
+    # interpolation divides by zero, which must stay silent.
+    cycles = (_ramp(1, 20), _ramp(2, 31, nan_at=7), _ramp(3, 12, top=3.45, flat_start=True),
+              _ramp(4, 12, nan_at=3), _ramp(5, 20, top=3.45), _ramp(6, 31))
+    ds = Dataset("b", 170.0, cycles)
+    expected = _per_cycle_error(ds, RAMP_SEGMENTS)
+    assert expected == "feature extraction failed at cycle 2: cycle 2: non-finite feature values"
+    good = Dataset("b", 170.0, cycles[:1] + cycles[2:3] + cycles[4:])
+    reference = np.array([_ref_extract_features(c, RAMP_SEGMENTS) for c in good.cycles])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as got:
+            features.build_matrix(ds, RAMP_SEGMENTS)
+        assert str(got.value) == expected
+        assert features.build_matrix(good, RAMP_SEGMENTS).X.tobytes() == reference.tobytes()
+
+
+def test_one_row_path_matches_the_reference_on_short_and_degenerate_records():
+    two = CycleRecord(1, (0.0, 10.0), (3.0, 3.6), 170.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = features.extract_features(two, RAMP_SEGMENTS)
+        assert got.tobytes() == _ref_extract_features(two, RAMP_SEGMENTS).tobytes()
+        assert features.fit_charging_line(two) == _ref_fit_charging_line(two)
+        assert features.segment_times(two, RAMP_SEGMENTS) == _ref_segment_times(two, RAMP_SEGMENTS)
+        for level in (2.9, 3.0, 3.3, 3.6, 3.7):
+            assert features.first_crossing_time(two, level) == _ref_first_crossing_time(two, level)
+    same_times = CycleRecord(2, (5.0,) * 12, np.linspace(3.0, 3.6, 12), 169.0)
+    one = CycleRecord(2, (5.0,), (3.0,), 169.0)
+    for rec, fault in ((same_times, "all sample times identical; slope undefined"),
+                       (one, "need at least 2 samples to fit a line")):
+        for new, ref in ((features.fit_charging_line, _ref_fit_charging_line),
+                         (lambda r: features.extract_features(r, RAMP_SEGMENTS),
+                          lambda r: _ref_extract_features(r, RAMP_SEGMENTS))):
+            with pytest.raises(ValueError, match=f"^{fault}$"):
+                ref(rec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{fault}$"):
+                    new(rec)
+        ds = Dataset("b", 170.0, (two, rec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                features.build_matrix(ds, RAMP_SEGMENTS)
+        assert str(got.value) == _per_cycle_error(ds, RAMP_SEGMENTS)
+        assert str(got.value) == f"feature extraction failed at cycle 2: {fault}"
 
 
 def test_samples_csv_matches_the_reference_on_special_values():
@@ -509,11 +589,7 @@ REJECTED = {
 
 @pytest.mark.parametrize("text", list(ACCEPTED.values()), ids=list(ACCEPTED))
 def test_parse_matches_the_reference_on_edge_inputs(text):
-    records = data.parse_samples(text)
-    expected = _ref_parse_samples(text)
-    if "nan" not in text:  # NaN != NaN: only the bits can agree
-        assert records == expected
-    assert _bits(records) == _bits(expected)
+    assert _bits(data.parse_samples(text)) == _bits(_ref_parse_samples(text))
 
 
 @pytest.mark.parametrize("text", list(REJECTED.values()), ids=list(REJECTED))
