@@ -277,7 +277,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import fusion, pipeline
+    from . import pipeline
     matrix = _read_input(args.features, _fit_matrix)
     master = _master_seed(args)
     cfg = _train_config(args, master)
@@ -287,11 +287,9 @@ def cmd_train(args) -> int:
 
     fusion_info = None
     if args.fused:
-        params = fusion.TsneParams(seed=derive_seed(master, "fuse"))
-        scaled, means, scales = fusion.scale_feature_groups(X_train, FEATURE_UNITS)
-        embedding = fusion.tsne_embed(scaled, pipeline.FUSED_DIM, params)
-        fusion_info = modelio.fusion_section(means, scales, scaled, embedding.Y)
-        X_train = embedding.Y
+        scaled, means, scales, X_train = pipeline.fuse_train_rows(
+            X_train, derive_seed(master, "fuse"))
+        fusion_info = modelio.fusion_section(means, scales, scaled, X_train)
 
     model, result = pipeline.woa_elm_train(X_train, y_train, cfg)
     obj = modelio.model_to_dict(model, "woa-elm", seed=cfg.seed, fusion=fusion_info)

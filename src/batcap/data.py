@@ -8,15 +8,20 @@ shrinks as the cell fades, so capacity-driven features exist by construction.
 A whole-life cell has hundreds of thousands of samples, so ingest works on
 whole files as arrays. This module holds the CSV format of all three files,
 samples, capacity and features (``features`` calls its reader and writer).
-Each parser takes one pass over the file's tokens, which checks the header
-and the column count (``_csv_tokens``); the samples parser converts each
-column with one ``map``, groups a cycle's rows even when other cycles split
-them up, and checks every cycle in one array pass (``_check_runs``). Only on
-an error is the file read line by line again, to name the line. The writer
-(``_csv_text``) formats each row once. ``synth_dataset`` draws every cycle's
-stream at once through RNG lanes (``rng.normal_lanes``) and computes the
-curves as arrays. Both give the same records, bit for bit, as one line or
-one sample at a time.
+Each parser splits the file into lines once, which checks the header and the
+column count (``_csv_lines``), and converts its number columns with numpy's C
+text reader (``_number_columns``). That reader sees only ASCII text without
+the padding it accepts and ``int``/``float`` refuse; on other text, or when
+it refuses a token, each token goes through ``int``/``float`` instead. So
+both paths accept the same spellings and give the same bits: the ones
+``int`` and ``float`` accept (a tighter number grammar is still open). The
+samples parser groups a cycle's rows even when other cycles split them up,
+and checks every cycle in one array pass (``_check_runs``). Only on an error
+is the file read line by line again, to name the line. The writer
+(``_csv_text``) formats the whole file with one ``%``. ``synth_dataset``
+draws every cycle's stream at once through RNG lanes (``rng.normal_lanes``)
+and computes the curves as arrays. Both give the same records, bit for bit,
+as one line or one sample at a time.
 """
 
 from __future__ import annotations
@@ -147,20 +152,27 @@ class SynthConfig:
             raise ValueError("q0 must be positive")
 
 
+def _split_lines(csv_text: str) -> list[str]:
+    """The lines of a file with "\\n" or "\\r\\n" endings."""
+    if "\r" in csv_text:  # a much faster scan than the one for "\r\n"
+        csv_text = csv_text.replace("\r\n", "\n")
+    return csv_text.split("\n")
+
+
 def _line_no(csv_text: str, row: int) -> int:
     """File line number of data row ``row`` (from 0), blank lines counted; for errors."""
-    lines = csv_text.replace("\r\n", "\n").split("\n")
+    lines = _split_lines(csv_text)
     return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
 
-def _csv_tokens(csv_text: str, header: str) -> list[str]:
-    """The body of a CSV file as one flat list of tokens, row after row.
+def _csv_lines(csv_text: str, header: str) -> list[str]:
+    """The non-blank body lines of a CSV file, in file order.
 
     Checks the header, which must be the first line, and the column count of
-    every non-blank line. Tokens keep their padding: ``int`` and ``float``
+    every non-blank line. Lines keep their padding: ``int`` and ``float``
     ignore it.
     """
-    lines = csv_text.replace("\r\n", "\n").split("\n")
+    lines = _split_lines(csv_text)
     if lines[0].strip() != header:
         raise ValueError(f"expected header {header!r}")
     body = list(filter(str.strip, lines[1:]))
@@ -170,22 +182,23 @@ def _csv_tokens(csv_text: str, header: str) -> list[str]:
         row = next(i for i, line in enumerate(body) if line.count(",") != n_cols - 1)
         raise ValueError(f"line {_line_no(csv_text, row)}: expected {n_cols} columns, "
                          f"got {body[row].count(',') + 1}")
-    joined = ",".join(body)
-    del body  # the line strings go before the tokens are made
-    tokens = joined.split(",") if joined else []
-    del joined
-    return tokens
+    return body
 
 
-def _check_one_battery(tokens: list[str], n_cols: int, kind: str) -> None:
-    """Raise unless the first column of every row names one battery id."""
-    battery_ids = {token.strip() for token in set(tokens[0::n_cols])}
+def _check_one_battery(csv_text: str, lines: list[str], kind: str) -> None:
+    """Raise unless the first column of every body line names one battery id."""
+    prefix = lines[0][:lines[0].find(",") + 1] if lines else ""
+    # Each body line follows a newline, so this counts the lines that start
+    # with the first line's "id,": when all do, they name one battery.
+    if csv_text.count("\n" + prefix) == len(lines):
+        return
+    battery_ids = {line.split(",", 1)[0].strip() for line in lines}
     if len(battery_ids) > 1:
         raise ValueError(f"multiple battery ids in one {kind} file: {sorted(battery_ids)}")
 
 
-def _bad_token(csv_text: str, tokens: list[str], columns) -> ValueError:
-    """The error naming the first row with a token its column's type refuses.
+def _bad_token(csv_text: str, tokens: list[str], columns) -> tuple[int, ValueError]:
+    """The first row with a token its column's type refuses, and the error naming it.
 
     ``columns`` is (name, type) of each column; within a row they are tried
     in that order.
@@ -196,9 +209,48 @@ def _bad_token(csv_text: str, tokens: list[str], columns) -> ValueError:
             try:
                 kind(token)
             except ValueError:
-                return ValueError(f"line {_line_no(csv_text, row)}: bad {name} value "
-                                  f"{token.strip()!r}")
+                return row, ValueError(f"line {_line_no(csv_text, row)}: bad {name} value "
+                                       f"{token.strip()!r}")
     raise AssertionError("no token is refused")
+
+
+# Padding that numpy's reader accepts around a number and int() and float()
+# refuse.
+_NUMPY_ONLY_PADDING = "\x1c\x1d\x1e\x1f"
+
+
+def _number_columns(csv_text: str, lines: list[str], columns) -> tuple[list, ValueError | None]:
+    """The int and float columns of the body lines, each as one array.
+
+    ``columns`` is (name, type) of each column, of type str, int or float;
+    str columns are skipped. numpy's C reader converts the columns of ASCII
+    text free of ``_NUMPY_ONLY_PADDING``: there it accepts a subset of the
+    spellings ``int`` and ``float`` accept, with the same bits. It never
+    sees non-ASCII text, some of which crashes it. Otherwise, or when it
+    refuses a token, ``int`` and ``float`` convert each token, an int column
+    into an object array of Python ints. When they refuse one, the arrays
+    hold the rows before its row and the error names it; else the error is
+    None.
+    """
+    numbers = [(j, name, kind) for j, (name, kind) in enumerate(columns) if kind is not str]
+    if lines and csv_text.isascii() and not any(map(csv_text.__contains__, _NUMPY_ONLY_PADDING)):
+        dtype = [(name, np.int64 if kind is int else np.float64) for _, name, kind in numbers]
+        try:
+            table = np.loadtxt(lines, delimiter=",", usecols=[j for j, _, _ in numbers],
+                               dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:  # one contiguous array per column: records are views into them
+            return [np.ascontiguousarray(table[name]) for _, name, _ in numbers], None
+    tokens = ",".join(lines).split(",") if lines else []
+    n_cols, error = len(columns), None
+    try:
+        values = [list(map(kind, tokens[j::n_cols])) for j, _, kind in numbers]
+    except ValueError:
+        row, error = _bad_token(csv_text, tokens, columns)
+        values = [list(map(kind, tokens[j:row * n_cols:n_cols])) for j, _, kind in numbers]
+    return [np.array(v, dtype=object if kind is int else float)
+            for v, (_, _, kind) in zip(values, numbers)], error
 
 
 def _check_runs(cycles, times: np.ndarray, voltages: np.ndarray, bounds) -> None:
@@ -250,27 +302,23 @@ def parse_samples(csv_text: str) -> list[CycleRecord]:
     cycle, times must already be strictly increasing (out-of-order data is an
     error, not silently sorted). The records are validated here, once.
     """
-    tokens = _csv_tokens(csv_text, SAMPLES_HEADER)
-    _check_one_battery(tokens, 4, "samples")
-    cycle_tokens = tokens[1::4]
-    try:
-        value_of = {token: int(token) for token in dict.fromkeys(cycle_tokens)}
-        t = np.fromiter(map(float, tokens[2::4]), float, len(cycle_tokens))
-        v = np.fromiter(map(float, tokens[3::4]), float, len(cycle_tokens))
-    except ValueError:
-        raise _bad_token(csv_text, tokens, _SAMPLE_COLUMNS) from None
-    del tokens
-    # Spellings of one cycle number share the code of its first appearance.
-    code_of: dict[int, int] = {}
-    token_code = {token: code_of.setdefault(value, len(code_of))
-                  for token, value in value_of.items()}
-    codes = np.fromiter(map(token_code.__getitem__, cycle_tokens), np.intp, len(cycle_tokens))
-    del cycle_tokens
+    lines = _csv_lines(csv_text, SAMPLES_HEADER)
+    _check_one_battery(csv_text, lines, "samples")
+    (cycle, t, v), error = _number_columns(csv_text, lines, _SAMPLE_COLUMNS)
+    del lines
+    if error:
+        raise error
+    # Each cycle number's code is its rank by first appearance.
+    numbers, first, inverse = np.unique(cycle, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    code_of_number = np.empty(len(numbers), dtype=np.intp)
+    code_of_number[by_first] = np.arange(len(numbers))
+    codes = code_of_number[inverse]
     if np.any(codes[1:] < codes[:-1]):  # a cycle's rows are split up: gather them
         order = np.argsort(codes, kind="stable")
         t, v = t[order], v[order]
-    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(code_of))).tolist()]
-    cycles = list(code_of)
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(numbers))).tolist()]
+    cycles = numbers[by_first].tolist()
     _check_runs(cycles, t, v, bounds)
     t.flags.writeable = v.flags.writeable = False
     return [CycleRecord(cycle_index=c, times=t[a:b], voltages=v[a:b])
@@ -283,19 +331,18 @@ def parse_capacity(csv_text: str) -> dict[int, float]:
     Rows are checked in file order: their tokens, then a repeated cycle, a
     non-positive and a non-finite capacity.
     """
-    tokens = _csv_tokens(csv_text, CAPACITY_HEADER)
-    _check_one_battery(tokens, 3, "capacity")
+    lines = _csv_lines(csv_text, CAPACITY_HEADER)
+    _check_one_battery(csv_text, lines, "capacity")
+    (cycles, caps), error = _number_columns(csv_text, lines, _CAPACITY_COLUMNS)
     capacities: dict[int, float] = {}
-    for row, (cyc, cap) in enumerate(zip(tokens[1::3], tokens[2::3])):
-        try:
-            cyc, cap = int(cyc), float(cap)
-        except ValueError:
-            raise _bad_token(csv_text, tokens, _CAPACITY_COLUMNS) from None
+    for row, (cyc, cap) in enumerate(zip(cycles.tolist(), caps.tolist())):
         fault = ("duplicate" if cyc in capacities else "non-positive" if cap <= 0
                  else None if math.isfinite(cap) else "non-finite")
         if fault:
             raise ValueError(f"line {_line_no(csv_text, row)}: {fault} capacity for cycle {cyc}")
         capacities[cyc] = cap
+    if error:  # the rows before the refused token are checked first
+        raise error
     return capacities
 
 
@@ -524,20 +571,25 @@ def _csv_text(header: str, prefixes, columns) -> str:
     """CSV text: the header, then per row its prefix (the text of its leading
     columns) and its value of each float column as ``format_number`` writes it.
 
-    Each row is one ``"%.12g"`` format; the few rows where that differs from
-    ``format_number`` are formatted again value by value.
+    The rows are one ``%`` format of ``"%.12g"`` fields; the few rows where
+    that differs from ``format_number`` get ``"%s"`` fields, which take the
+    values as ``format_number`` writes them.
     """
     from .jsonio import format_number
 
-    row_format = "%s" + ",%.12g" * len(columns)
-    rows = list(map(row_format.__mod__, zip(prefixes, *(c.tolist() for c in columns))))
-    redo = np.zeros(len(rows), dtype=bool)
+    k = len(columns)
+    values = list(chain.from_iterable(zip(prefixes, *(c.tolist() for c in columns))))
+    redo = np.zeros(len(values) // (k + 1), dtype=bool)
     for c in columns:
         redo |= _unlike_g12(c)
+    row_g, row_s = "%s" + ",%.12g" * k + "\n", "%s" + ",%s" * k + "\n"
+    row_formats, done = [], 0
     for i in np.flatnonzero(redo).tolist():
-        prefix = rows[i].rsplit(",", len(columns))[0]
-        rows[i] = ",".join([prefix, *(format_number(c[i]) for c in columns)])
-    return "\n".join(chain((header,), rows)) + "\n"
+        values[i * (k + 1) + 1:(i + 1) * (k + 1)] = [format_number(c[i]) for c in columns]
+        row_formats += [row_g * (i - done), row_s]
+        done = i + 1
+    row_formats.append(row_g * (len(redo) - done))
+    return header + "\n" + "".join(row_formats) % tuple(values)
 
 
 def samples_csv(ds: Dataset) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CycleRecord, Dataset, _bad_token, _csv_text, _csv_tokens, _line_no
+from .data import CycleRecord, Dataset, _csv_lines, _csv_text, _line_no, _number_columns
 # Both names stay importable from here; they live in the leaf module.
 from .names import FEATURE_NAMES, FEATURE_UNITS
 
@@ -281,17 +281,14 @@ def matrix_to_csv(m: FeatureMatrix) -> str:
 def matrix_from_csv(csv_text: str) -> FeatureMatrix:
     """Parse a features CSV; an error names the file line (blank lines counted)
     and, for a number that is not one or not finite, the column."""
-    tokens = _csv_tokens(csv_text, ",".join(name for name, _ in _CSV_COLUMNS))
-    n = len(_CSV_COLUMNS)
-    try:
-        cycles = tuple(map(int, tokens[0::n]))
-        columns = [list(map(float, tokens[j::n])) for j in range(1, n)]
-    except ValueError:
-        raise _bad_token(csv_text, tokens, _CSV_COLUMNS) from None
-    X, y = np.column_stack(columns[:-1]), np.array(columns[-1])
+    lines = _csv_lines(csv_text, ",".join(name for name, _ in _CSV_COLUMNS))
+    (cycles, *columns), error = _number_columns(csv_text, lines, _CSV_COLUMNS)
+    if error:
+        raise error
+    X, y = np.column_stack(columns[:-1]), columns[-1]
     bad = np.argwhere(~np.isfinite(np.column_stack((X, y))))
     if len(bad):
         row, col = bad[0].tolist()
         raise ValueError(f"line {_line_no(csv_text, row)}: non-finite {_CSV_COLUMNS[col + 1][0]} "
-                         f"value {tokens[row * n + col + 1].strip()!r}")
-    return FeatureMatrix(X=X, y=y, cycle_indices=cycles)
+                         f"value {lines[row].split(',')[col + 1].strip()!r}")
+    return FeatureMatrix(X=X, y=y, cycle_indices=tuple(cycles.tolist()))

@@ -31,7 +31,7 @@ from .names import FEATURE_UNITS
 from .rng import derive_seed
 from .woa import WoaConfig, WoaResult, uniform_bounds, woa_optimize
 
-FUSED_DIM = 2  # embedding dimension of fused models: fused_comparison, train --fused
+FUSED_DIM = 2  # embedding dimension of fused models (fuse_train_rows)
 
 
 @dataclass(frozen=True)
@@ -301,6 +301,16 @@ class FusionComparison:
     fused: ComparisonArm
 
 
+def fuse_train_rows(X_train: np.ndarray, seed: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fused inputs of a fused model: the training rows scaled by unit
+    group, the column means and scales, and their t-SNE embedding in
+    ``FUSED_DIM`` dimensions at ``seed``."""
+    scaled, means, scales = scale_feature_groups(X_train, FEATURE_UNITS)
+    embedding = tsne_embed(scaled, FUSED_DIM, TsneParams(seed=seed))
+    return scaled, means, scales, embedding.Y
+
+
 def fused_comparison(m: FeatureMatrix, cfg: TrainConfig) -> FusionComparison:
     """Train on all features and on the fused low-dimensional features.
 
@@ -328,10 +338,10 @@ def fused_comparison(m: FeatureMatrix, cfg: TrainConfig) -> FusionComparison:
 
     full = run_arm(X_train, X_test)
 
-    scaled_train, means, scales = scale_feature_groups(X_train, FEATURE_UNITS)
-    embedding = tsne_embed(scaled_train, FUSED_DIM, TsneParams(seed=derive_seed(cfg.seed, "fuse")))
-    fused_test = embed_new_points(scaled_train, embedding.Y, (X_test - means) / scales)
-    fused = run_arm(embedding.Y, fused_test)
+    scaled_train, means, scales, fused_train = fuse_train_rows(
+        X_train, derive_seed(cfg.seed, "fuse"))
+    fused_test = embed_new_points(scaled_train, fused_train, (X_test - means) / scales)
+    fused = run_arm(fused_train, fused_test)
     return FusionComparison(full=full, fused=fused)
 
 

@@ -7,6 +7,7 @@ array passes (only the names carry a ``_ref`` prefix).
 """
 
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -545,6 +546,13 @@ ACCEPTED = {
     "header_then_blank_lines": SAMPLES_HEADER + "\n\n  \n",
     "one_cycle_many_samples": _csv(_rows([5] * 400)),
     "interleaved_huge_cycle_number": _csv(_rows([10 ** 30] * 6 + [1] * 11 + [10 ** 30] * 5)),
+    # numpy's reader refuses these or never sees them: int() and float() read them
+    "int64_max_cycle": _csv(_rows([2 ** 63 - 1] * 11)),
+    "cycle_beyond_int64": _csv(_rows([1] * 11 + [2 ** 63] * 11)),
+    "carriage_return_led_token": _csv(_replace(_two_cycles(), 3, "b,1,\r30,3.03")),
+    "non_ascii_battery_id": _csv(_rows([1] * 11 + [2] * 11, battery="zelle-\u00fc")),
+    "non_ascii_digits": _csv(_replace(_two_cycles(), 5, "b,\u0661,50,3.05")),
+    "non_ascii_padding": _csv(_replace(_two_cycles(), 6, "b,1,\u200060\u00a0,3.06")),
 }
 
 REJECTED = {
@@ -584,6 +592,12 @@ REJECTED = {
     "voltage_dip_before_a_short_cycle": _csv(_replace(_rows([1] * 11 + [2] * 5), 6, "b,1,60,3.0")),
     "bad_token_after_interleaving": _csv(_replace(_rows([1] * 6 + [2] * 11 + [1] * 5), 19,
                                                   "b,1,80,3.08v")),
+    "negative_cycle_beyond_int64": _csv(_rows([-2 ** 63 - 1] * 11)),
+    "bad_token_after_carriage_return_led_token": _csv(
+        _replace(_replace(_two_cycles(), 3, "b,1,\r30,3.03"), 14, "b,2,30,3.1x")),
+    "bad_token_with_non_ascii_battery_id": _csv(
+        _replace(_rows([1] * 11 + [2] * 11, battery="\u00e9"), 7, "\u00e9,1,70,\u20ac")),
+    "non_ascii_digits_that_drop": _csv(_replace(_two_cycles(), 15, "b,2,40,\u0663")),
 }
 
 
@@ -674,6 +688,8 @@ CAPACITY_ACCEPTED = {
     "crlf_blank_lines": _capacity_csv(CAPACITIES, newline="\r\n").replace("b,3", "\r\n \r\nb,3"),
     "padded_tokens": _capacity_csv([(f" {c} ", f"{q} ") for c, q in CAPACITIES]),
     "header_only": CAPACITY_HEADER + "\n",
+    "cycle_beyond_int64": _capacity_csv([*CAPACITIES, (2 ** 64, 150)]),
+    "non_ascii_battery_id": _capacity_csv(CAPACITIES).replace("b,", "\u00e9,"),
 }
 
 CAPACITY_REJECTED = {
@@ -691,6 +707,9 @@ CAPACITY_REJECTED = {
     "zero": _capacity_csv([*CAPACITIES[:4], (5, 0), *CAPACITIES[5:]]),
     "negative": _capacity_csv([(1, -170), *CAPACITIES[1:]]),
     "negative_infinity": _capacity_csv([*CAPACITIES, (8, "-inf")]),
+    "duplicate_before_carriage_return_led_bad_token": _capacity_csv(
+        [*CAPACITIES, (2, 150), ("\r9", "14x")]),
+    "duplicate_beyond_int64": _capacity_csv([*CAPACITIES, (2 ** 64, 150), (2 ** 64, 149)]),
 }
 
 
@@ -707,3 +726,169 @@ def test_parse_capacity_raises_the_reference_message(text):
     with pytest.raises(ValueError) as got:
         data.parse_capacity(text)
     assert str(got.value) == str(expected.value)
+
+
+# --- numpy's reader and the int()/float() path ------------------------------
+
+FEATURES_HEADER = ",".join(name for name, _ in features._CSV_COLUMNS)
+# Header, (name, type) of each column and a valid row of each CSV file.
+CSV_FILES = {
+    "samples": (SAMPLES_HEADER, data._SAMPLE_COLUMNS, ["b", "1", "10", "3.0"]),
+    "capacity": (CAPACITY_HEADER, data._CAPACITY_COLUMNS, ["b", "1", "170"]),
+    "features": (FEATURES_HEADER, features._CSV_COLUMNS, ["1", *["0.5"] * 13, "170"]),
+}
+# An int and a float column of each file, at the start, inside and at the end of a row.
+SPELLING_COLUMNS = [("samples", 1), ("samples", 2), ("samples", 3), ("capacity", 1),
+                    ("capacity", 2), ("features", 0), ("features", 7), ("features", 14)]
+# Every ASCII spelling of one or two characters that leaves the row's columns as they are.
+_CHARS = [chr(i) for i in range(128) if chr(i) not in ",\n"]
+SHORT_ASCII_FORMS = _CHARS + [a + b for a in _CHARS for b in _CHARS]
+
+
+@pytest.mark.parametrize("kind, column", SPELLING_COLUMNS,
+                         ids=[f"{kind}-{CSV_FILES[kind][1][j][0]}" for kind, j in SPELLING_COLUMNS])
+def test_every_short_ascii_spelling_reads_as_int_and_float_read_it(kind, column):
+    header, columns, row = CSV_FILES[kind]
+    name, convert = columns[column]
+    position = [j for j, (_, t) in enumerate(columns) if t is not str].index(column)
+    for form in SHORT_ASCII_FORMS:
+        text = "\n".join([header, ",".join([*row[:column], form, *row[column + 1:]]), ""])
+        got, error = data._number_columns(text, data._csv_lines(text, header), columns)
+        try:
+            expected = convert(form)
+        except ValueError:
+            assert str(error) == f"line 2: bad {name} value {form.strip()!r}", repr(form)
+            assert all(len(values) == 0 for values in got), repr(form)
+        else:
+            assert error is None, repr(form)
+            value = got[position].tolist()[0]
+            assert type(value) is convert, repr(form)
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes(), repr(form)
+
+
+def _padded_inputs(pad):
+    """A file of each kind with ``pad`` around one number, and the error it gets."""
+    features_text = "\n".join([FEATURES_HEADER, *(",".join([str(i), *["0.5"] * 13, "170"])
+                                                  for i in (1, 2, 3)), ""])
+    return [(data.parse_samples, _csv(_replace(_two_cycles(), 3, f"b,{pad}1,30,3.03")),
+             "line 5: bad cycle value '1'"),
+            (data.parse_capacity, _capacity_csv([*CAPACITIES[:2], (3, f"168{pad}")]),
+             "line 4: bad discharge_capacity_mah value '168'"),
+            (features.matrix_from_csv, features_text.replace("0.5", f"{pad}0.5", 1),
+             "line 2: bad F1 value '0.5'")]
+
+
+@pytest.mark.parametrize("pad", "\x1c\x1d\x1e\x1f")
+def test_padding_numpy_would_accept_is_refused_as_before(pad):
+    # int() and float() refuse this padding, which str.strip() removes
+    for parse, text, message in _padded_inputs(pad):
+        with pytest.raises(ValueError) as got:
+            parse(text)
+        assert str(got.value) == message
+
+
+def _features_csv(rows):
+    return "\n".join([FEATURES_HEADER, *rows, ""])
+
+
+FEATURES_INPUTS = {
+    "plain": _features_csv(f"{i},{','.join(['0.5'] * 13)},{170 - i}" for i in range(1, 6)),
+    "crlf_padded": _features_csv(f" {i} ,{','.join([' 1e-3'] * 13)},{170 - i} \r"
+                                 for i in range(1, 6)),
+    "cycle_beyond_int64": _features_csv(f"{2 ** 64 + i},{','.join(['0.5'] * 13)},170"
+                                        for i in range(1, 6)),
+    "non_ascii_digits": _features_csv(f"{i},{','.join(['٠.5'] * 13)},170"
+                                      for i in range(1, 6)),
+    "bad_token": _features_csv(f"{i},{','.join(['0.5'] * 13)},{'x' if i == 4 else 170}"
+                               for i in range(1, 6)),
+    "non_finite": _features_csv(f"{i},{','.join(['0.5'] * 13)},{'nan' if i == 2 else 170}"
+                                for i in range(1, 6)),
+}
+
+
+def _features_outcome(text):
+    try:
+        m = features.matrix_from_csv(text)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(c) is int for c in m.cycle_indices)
+    return m.cycle_indices, m.X.tobytes(), m.y.tobytes()
+
+
+def _outcomes():
+    """What every parser gives on every edge input: bits, or the error text."""
+    def run(parse, text):
+        try:
+            got = parse(text)
+        except ValueError as exc:
+            return str(exc)
+        return _bits(got) if isinstance(got, list) else sorted(got.items())
+
+    return ([run(data.parse_samples, t) for t in (*ACCEPTED.values(), *REJECTED.values())],
+            [run(data.parse_capacity, t)
+             for t in (*CAPACITY_ACCEPTED.values(), *CAPACITY_REJECTED.values())],
+            [_features_outcome(t) for t in FEATURES_INPUTS.values()])
+
+
+def test_numpy_sees_only_ascii_text_without_its_padding_and_its_refusals_change_nothing(
+        monkeypatch):
+    fast = _outcomes()
+    seen = []
+
+    def refusing_loadtxt(lines, **kwargs):
+        seen.append(lines)
+        for line in lines:
+            assert line.isascii() and not set(line) & set("\x1c\x1d\x1e\x1f"), repr(line)
+        raise ValueError("refused")
+
+    monkeypatch.setattr(np, "loadtxt", refusing_loadtxt)
+    assert _outcomes() == fast
+    assert ACCEPTED["plain"].splitlines()[1:] in seen  # the plain file went to numpy first
+    seen.clear()
+    for parse, text, message in chain.from_iterable(map(_padded_inputs, "\x1c\x1d\x1e\x1f")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse(text)
+    assert seen == []
+
+
+def test_features_reader_matches_int_and_float_on_edge_inputs():
+    for name, text in FEATURES_INPUTS.items():
+        outcome = _features_outcome(text)
+        if name == "bad_token":
+            assert outcome == "line 5: bad target value 'x'"
+        elif name == "non_finite":
+            assert outcome == "line 3: non-finite target value 'nan'"
+        else:
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            X = np.array([[float(x) for x in row[1:-1]] for row in rows])
+            y = np.array([float(row[-1]) for row in rows])
+            assert outcome == (tuple(int(row[0]) for row in rows), X.tobytes(), y.tobytes())
+
+
+# --- one % format per file ----------------------------------------------------
+
+def _with_redo_rows(n, rows):
+    """n ordinary values, and a value '%.12g' writes unlike format_number at ``rows``."""
+    values = 0.25 + np.arange(n) * 1.5
+    for i, special in zip(rows, [1e12, -0.0, 123456789012345.0] * n):
+        values[i] = special
+    return values
+
+
+REDO_ROWS = {"none": [], "first": [0], "last": [11], "adjacent": [4, 5, 6],
+             "first_last_and_adjacent": [0, 1, 7, 8, 10, 11], "every": list(range(12))}
+
+
+@pytest.mark.parametrize("rows", list(REDO_ROWS.values()), ids=list(REDO_ROWS))
+def test_one_format_writer_matches_the_reference_around_redo_rows(rows):
+    times, voltages = 100.0 + np.arange(12.0), _with_redo_rows(12, rows)
+    ds = Dataset("cell-1", 170.0, (CycleRecord(1, times[:7], voltages[:7], 170.0),
+                                   CycleRecord(2, times[7:], voltages[7:], 169.0)))
+    assert data.samples_csv(ds) == _ref_samples_csv(ds)
+    caps = Dataset("cell-1", 170.0, tuple(CycleRecord(i + 1, (), (), q)
+                                          for i, q in enumerate(_with_redo_rows(12, rows))))
+    assert data.capacity_csv(caps) == _ref_capacity_csv(caps)
+    X = np.column_stack([_with_redo_rows(12, rows) if j % 2 else 0.5 + np.arange(12.0)
+                         for j in range(len(features.FEATURE_NAMES))])
+    m = FeatureMatrix(X, _with_redo_rows(12, rows), tuple(range(1, 13)))
+    assert features.matrix_to_csv(m) == _ref_matrix_to_csv(m)
