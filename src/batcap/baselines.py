@@ -68,15 +68,36 @@ class _Node:
 def _libm_square(a: np.ndarray) -> np.ndarray:
     """a ** 2 through libm ``pow``, as numpy scalars and Python floats square.
 
-    numpy's array ``** 2`` multiplies, and ``pow`` can round the square one
-    ulp apart from that product; on tied gains such an ulp picks the split.
+    ``np.float_power`` calls libm ``pow`` once per element. The other array
+    powers do not: ``np.power(a, 2.0)`` and ``a * a`` multiply, and
+    ``np.power`` with an array exponent runs a SIMD (SVML) loop. Each rounds
+    some squares one ulp apart from ``pow``, and on tied gains such an ulp
+    picks the split. A square that overflows is inf; the caller silences the
+    warning.
     """
-    flat = a.ravel().tolist()
-    try:
-        squares = [v ** 2 for v in flat]
-    except OverflowError:  # Python floats raise where numpy scalars give inf
-        squares = [np.float64(v) ** 2 for v in flat]
-    return np.array(squares).reshape(a.shape)
+    return np.float_power(a, 2.0)
+
+
+def _chain_winner(gains: np.ndarray) -> int:
+    """Where a scan of ``gains`` in order ends: a gain becomes the best when
+    it beats the best so far (0.0 at the start) by more than 1e-12. The
+    index of the last best, or -1 if no gain became one.
+
+    Only a running-max record, a gain above 0.0 and every gain before it,
+    can win, so the chain walks those alone. Let P be the running max before
+    a gain g and b the chain's best when g arrives. If P's gain won, b >= P;
+    if it lost, P <= b + 1e-12. Either way a winning g > b + 1e-12 >= P.
+    ``fmax`` skips a nan gain, which never wins either.
+    """
+    prior = np.fmax.accumulate(np.concatenate(((0.0,), gains[:-1])))
+    records = (gains > prior).nonzero()[0]
+    best_gain = 0.0
+    best = -1
+    for j, g in zip(records.tolist(), gains[records].tolist()):
+        if g > best_gain + 1e-12:
+            best_gain = g
+            best = j
+    return best
 
 
 class RegressionTree:
@@ -101,7 +122,11 @@ class RegressionTree:
             raise ValueError("empty training set")
         self._rng = Rng(self.seed)
         self._n_features = X.shape[1]
-        self._root = self._grow(X, y, depth=0)
+        # Targets near 1e154 overflow some squares of sums. The gains they
+        # give are inf or nan, which the scan takes as the per-position loop
+        # did, so the warnings tell the caller nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._root = self._grow(X, y, depth=0)
         return self
 
     def _candidate_features(self) -> list[int]:
@@ -120,8 +145,9 @@ class RegressionTree:
         return sorted(chosen)
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(y.mean()))
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf or np.all(y == y[0]):
+        n = len(y)
+        node = _Node(value=float(y.sum() / n))  # the bits of y.mean()
+        if depth >= self.max_depth or n < 2 * self.min_leaf or (y == y[0]).all():
             return node
         best = self._best_split(X, y)
         if best is None:
@@ -143,32 +169,31 @@ class RegressionTree:
         """
         n = len(y)
         total_sum = y.sum()
-        total_sq = float(np.sum(y * y))
+        total_sq = float((y * y).sum())
         parent_sse = total_sq - total_sum ** 2 / n
         features = self._candidate_features()
-        cols = X[:, features]
-        order = np.argsort(cols, axis=0, kind="stable")
-        xs = np.take_along_axis(cols, order, axis=0)
+        k = len(features)
+        # One row per candidate feature, so that the gains of a feature are
+        # contiguous and the flat scan order is the row-major order.
+        cols = X.T[features]
+        order = cols.argsort(axis=1, kind="stable")
+        xs = cols[np.arange(k)[:, None], order]
         ys = y[order]
         lo, hi = self.min_leaf - 1, n - self.min_leaf  # split after row i, lo <= i < hi
-        csum = np.cumsum(ys, axis=0)[lo:hi]
-        csq = np.cumsum(ys * ys, axis=0)[lo:hi]
-        left_n = np.arange(lo + 1, hi + 1, dtype=float)[:, None]
-        left_sse = csq - _libm_square(csum) / left_n
-        right_sse = (total_sq - csq) - _libm_square(total_sum - csum) / (n - left_n)
+        sums = np.concatenate((ys, ys * ys)).cumsum(axis=1)[:, lo:hi]
+        csum, csq = sums[:k], sums[k:]
+        squares = _libm_square(np.concatenate((csum, total_sum - csum)))
+        left_n = np.arange(lo + 1, hi + 1, dtype=float)
+        left_sse = csq - squares[:k] / left_n
+        right_sse = (total_sq - csq) - squares[k:] / (n - left_n)
         gain = parent_sse - left_sse - right_sse
-        gain[xs[lo:hi] == xs[lo + 1:hi + 1]] = -np.inf
-        best_gain = 0.0
-        best = -1
-        for j, g in enumerate(gain.T.ravel().tolist()):
-            if g > best_gain + 1e-12:
-                best_gain = g
-                best = j
+        gain[xs[:, lo:hi] == xs[:, lo + 1:hi + 1]] = -np.inf
+        best = _chain_winner(gain.ravel())
         if best < 0:
             return None
         col, i = divmod(best, hi - lo)
         i += lo
-        return features[col], float((xs[i, col] + xs[i + 1, col]) / 2.0)
+        return features[col], float((xs[col, i] + xs[col, i + 1]) / 2.0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._root is None:

@@ -55,13 +55,6 @@ class VoltageSegments:
 
 
 @dataclass(frozen=True)
-class LineFit:
-    slope: float
-    intercept: float
-    r2: float
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     X: np.ndarray               # (N, 13)
     y: np.ndarray               # (N,)
@@ -78,16 +71,6 @@ class FeatureMatrix:
             raise ValueError("feature count does not match names")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise ValueError("non-finite feature or target values")
-
-
-def fit_charging_line(rec: CycleRecord) -> LineFit:
-    """Ordinary least squares of voltage on time over the whole cycle."""
-    if len(rec.times) < 2:
-        raise ValueError(_FAULTS[0])
-    X, stt, r2 = _feature_block(rec.times[None], rec.voltages[None], (0.0,) * 4)  # levels unused
-    if stt[0] == 0.0:
-        raise ValueError(_FAULTS[1])
-    return LineFit(slope=float(X[0, 3]), intercept=float(X[0, 4]), r2=float(r2[0]))
 
 
 def _smoothed_derivative(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -145,27 +128,6 @@ def detect_segments(reference: CycleRecord, alpha: float = 0.5,
     seg = VoltageSegments(vs1=(v_first, lo), vs2=(lo, hi), vs3=(hi, v_last))
     seg.validate()
     return seg
-
-
-def first_crossing_time(rec: CycleRecord, level: float) -> float:
-    """Time at which the curve first reaches ``level`` volts.
-
-    Linear interpolation between the bracketing samples; t[0] if the curve
-    starts at or above the level, t[-1] if it never gets there.
-    """
-    X = _feature_block(rec.times[None], rec.voltages[None], (level,) * 4)[0]
-    return float(X[0, 5])  # F6: the crossing of the first level
-
-
-def segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, float, float]:
-    """Charging time spent inside each voltage segment.
-
-    Durations are differences of first-crossing times, which makes them
-    non-negative and exactly partitions the total charge time whenever the
-    curve spans all three segments.
-    """
-    X = _feature_block(rec.times[None], rec.voltages[None], seg.levels())[0]
-    return tuple(X[0, [6, 7, 11]].tolist())  # F7, F8, F12
 
 
 def _feature_block(T: np.ndarray, V: np.ndarray, levels) -> tuple[np.ndarray, ...]:

@@ -159,24 +159,6 @@ def _student_t_kernel(Y: np.ndarray, w: np.ndarray | None = None,
     return w
 
 
-def student_t_affinities(Y: np.ndarray) -> np.ndarray:
-    """Low-dimensional affinities under the heavy-tailed Student-t kernel."""
-    w = _student_t_kernel(np.atleast_2d(np.asarray(Y, dtype=float)))
-    return w / w.sum()
-
-
-def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    """KL(P || Q) in nats; terms with P = 0 contribute nothing."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.shape != Q.shape:
-        raise ValueError("shape mismatch")
-    mask = P > 0
-    if np.any(Q[mask] == 0):
-        raise ValueError("Q is zero where P has mass; KL undefined")
-    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
-
-
 def _kernel_gradient(P: np.ndarray, Q: np.ndarray, w: np.ndarray, Y: np.ndarray,
                      m: np.ndarray | None = None) -> np.ndarray:
     """KL gradient from the kernel w that Q was normalized from; ``m`` is an
@@ -185,12 +167,6 @@ def _kernel_gradient(P: np.ndarray, Q: np.ndarray, w: np.ndarray, Y: np.ndarray,
     m *= w
     row_sums = m.sum(axis=1)
     return 4.0 * (row_sums[:, None] * Y - m @ Y)
-
-
-def tsne_gradient(P: np.ndarray, Q: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of KL(P || Q) under the Student-t kernel."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    return _kernel_gradient(P, Q, _student_t_kernel(Y), Y)
 
 
 def _effective_perplexity(params: TsneParams, n: int) -> float:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,47 @@ def make_record(times, voltages, cycle_index=1, capacity=None):
         voltages=tuple(float(v) for v in voltages),
         discharge_capacity=capacity,
     )
+
+
+# One cycle's line fit, crossing time and segment times, read from the
+# feature kernel that build_matrix runs.
+
+@dataclass(frozen=True)
+class LineFit:
+    slope: float
+    intercept: float
+    r2: float
+
+
+def fit_charging_line(rec):
+    """Ordinary least squares of voltage on time over the whole cycle (F4, F5)."""
+    if len(rec.times) < 2:
+        raise ValueError(features._FAULTS[0])
+    X, stt, r2 = features._feature_block(rec.times[None], rec.voltages[None], (0.0,) * 4)
+    if stt[0] == 0.0:
+        raise ValueError(features._FAULTS[1])
+    return LineFit(slope=float(X[0, 3]), intercept=float(X[0, 4]), r2=float(r2[0]))
+
+
+def first_crossing_time(rec, level):
+    """Time at which the curve first reaches ``level`` volts (F6).
+
+    Linear interpolation between the bracketing samples; t[0] if the curve
+    starts at or above the level, t[-1] if it never gets there.
+    """
+    X = features._feature_block(rec.times[None], rec.voltages[None], (level,) * 4)[0]
+    return float(X[0, 5])
+
+
+def segment_times(rec, seg):
+    """Charging time spent inside each voltage segment (F7, F8, F12).
+
+    Durations are differences of first-crossing times, which makes them
+    non-negative and exactly partitions the total charge time whenever the
+    curve spans all three segments.
+    """
+    X = features._feature_block(rec.times[None], rec.voltages[None], seg.levels())[0]
+    return tuple(X[0, [6, 7, 11]].tolist())
 
 
 @pytest.fixture

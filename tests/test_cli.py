@@ -16,6 +16,7 @@ from batcap import attribution, baselines, data, features, modelio, pipeline
 from batcap.cli import build_parser, main
 from batcap.jsonio import dump_json, load_json, load_schema, validate_schema
 from batcap.rng import derive_seed
+from test_baselines import _scalar_best_split
 
 SYNTH_CFG = {"n_cycles": 30, "q0": 170.0, "fade_rate": 0.003, "seed": 11}
 TRAIN_CFG = {"hidden_l": 10, "woa_iters": 10, "woa_pop": 6}
@@ -579,6 +580,28 @@ def test_fitting_commands_name_the_features_file_whose_variance_overflows(inputs
     assert code == 4 and err.count("\n") == 1
     assert err.startswith("ERROR 4:") and "huge_features.csv" in err and "overflows" in err
     assert [str(w.message) for w in caught] == []
+
+
+def test_compare_on_huge_targets_warns_nothing_and_keeps_the_tree_models(inputs, capsys,
+                                                                         monkeypatch):
+    # Centered targets near 1e153: the squares of some partial sums in the
+    # split scan overflow, while every column's variance stays finite.
+    header, *rows = (inputs / "features.csv").read_text().splitlines()
+    y = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+    y = 4e152 * (y - y.mean())
+    rows = [f"{row.rsplit(',', 1)[0]},{v!r}" for row, v in zip(rows, y.tolist())]
+    (inputs / "huge_targets.csv").write_text("\n".join([header, *rows]) + "\n")
+    args = ["compare", "--features", "@huge_targets.csv", "--config", "@train.json",
+            "--models", "rf,gbrt"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(_expand(inputs, [*args, "--out", "@taylor_huge.json"]))
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(baselines.RegressionTree, "_best_split", _scalar_best_split)
+    with np.errstate(all="ignore"):
+        run(_expand(inputs, [*args, "--out", "@taylor_scalar.json"]))
+    assert (inputs / "taylor_huge.json").read_bytes() == (inputs / "taylor_scalar.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", MISSHAPEN_MODELS)

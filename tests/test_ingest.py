@@ -20,8 +20,9 @@ from batcap.data import (
     _V_END_DRIFT, _V_END_OFFSET, _V_START_OFFSET, CAPACITY_HEADER, SAMPLES_HEADER, CycleRecord,
     Dataset, SynthConfig,
 )
-from batcap.features import FeatureMatrix, LineFit, VoltageSegments
+from batcap.features import FeatureMatrix, VoltageSegments
 from batcap.rng import Rng, derive_seed
+from conftest import LineFit, first_crossing_time, fit_charging_line, segment_times
 
 
 # --- the per-line and per-sample code, unchanged ----------------------------
@@ -364,8 +365,8 @@ def test_features_match_the_reference(synth_pair):
     expected = np.array([_ref_extract_features(c, seg) for c in ds.cycles])
     assert np.array_equal(features.build_matrix(ds, seg).X, expected)
     for cyc in ds.cycles[:: max(1, len(ds) // 20)]:
-        assert features.segment_times(cyc, seg) == _ref_segment_times(cyc, seg)
-        assert features.fit_charging_line(cyc) == _ref_fit_charging_line(cyc)
+        assert segment_times(cyc, seg) == _ref_segment_times(cyc, seg)
+        assert fit_charging_line(cyc) == _ref_fit_charging_line(cyc)
 
 
 def _ramp(cycle, n, top=3.6, nan_at=None, flat_start=False):
@@ -419,15 +420,15 @@ def test_one_row_path_matches_the_reference_on_short_and_degenerate_records():
         warnings.simplefilter("error")
         got = features.extract_features(two, RAMP_SEGMENTS)
         assert got.tobytes() == _ref_extract_features(two, RAMP_SEGMENTS).tobytes()
-        assert features.fit_charging_line(two) == _ref_fit_charging_line(two)
-        assert features.segment_times(two, RAMP_SEGMENTS) == _ref_segment_times(two, RAMP_SEGMENTS)
+        assert fit_charging_line(two) == _ref_fit_charging_line(two)
+        assert segment_times(two, RAMP_SEGMENTS) == _ref_segment_times(two, RAMP_SEGMENTS)
         for level in (2.9, 3.0, 3.3, 3.6, 3.7):
-            assert features.first_crossing_time(two, level) == _ref_first_crossing_time(two, level)
+            assert first_crossing_time(two, level) == _ref_first_crossing_time(two, level)
     same_times = CycleRecord(2, (5.0,) * 12, np.linspace(3.0, 3.6, 12), 169.0)
     one = CycleRecord(2, (5.0,), (3.0,), 169.0)
     for rec, fault in ((same_times, "all sample times identical; slope undefined"),
                        (one, "need at least 2 samples to fit a line")):
-        for new, ref in ((features.fit_charging_line, _ref_fit_charging_line),
+        for new, ref in ((fit_charging_line, _ref_fit_charging_line),
                          (lambda r: features.extract_features(r, RAMP_SEGMENTS),
                           lambda r: _ref_extract_features(r, RAMP_SEGMENTS))):
             with pytest.raises(ValueError, match=f"^{fault}$"):
