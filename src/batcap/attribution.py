@@ -5,6 +5,8 @@ coordinates in S from the explained instance and the rest from a background
 vector. With M features all 2^M coalition values are evaluated in one batched
 model call, so attributions are exact rather than sampled; M is capped at 20.
 The masks, index arrays and weights depend only on M and are built once per M.
+A summary explains its rows across the usable CPUs, with the same bits as one
+row after another.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
+
+from .parallel import ordered_map
 
 MAX_FEATURES_EXACT = 20
 
@@ -112,6 +116,10 @@ def shapley_summary(predict, X, feature_names=None, background_mode: str = "mean
     """Per-row attributions over a matrix plus the mean-|phi| ranking.
 
     The background is the mean or median of ``background_rows`` (default: X).
+    The rows are independent, so they run across the usable CPUs
+    (``parallel.ordered_map``), with the same bits for any CPU count; the
+    exception of the first failing row is the one raised. ``predict`` must
+    be safe to call from several threads at once.
     """
     if background_mode not in ("mean", "median"):
         raise ValueError("background_mode must be 'mean' or 'median'")
@@ -120,7 +128,9 @@ def shapley_summary(predict, X, feature_names=None, background_mode: str = "mean
         raise ValueError("no rows to explain")
     B = X if background_rows is None else np.asarray(background_rows, dtype=float)
     background = B.mean(axis=0) if background_mode == "mean" else np.median(B, axis=0)
-    reports = [shapley_exact(predict, row, background, feature_names) for row in X]
+    if X.ndim == 2 and X.shape[1] <= MAX_FEATURES_EXACT:
+        _coalitions(X.shape[1])  # build the shared tables once, before any thread
+    reports = ordered_map(lambda row: shapley_exact(predict, row, background, feature_names), X)
     phi_table = np.stack([r.phi for r in reports])
     mean_abs = np.abs(phi_table).mean(axis=0)
     names = reports[0].feature_names

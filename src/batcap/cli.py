@@ -357,7 +357,10 @@ def cmd_compare(args) -> int:
         else:
             pred = baseline_fit(kind, X_train, y_train, seed=seed).predict(X_test)
         predictions.append((kind, pred))
-    taylor = pipeline.taylor_points(predictions, y_test)
+    try:
+        taylor = pipeline.taylor_points(predictions, y_test)
+    except ValueError as exc:  # a statistic the targets and predictions leave undefined
+        raise CliError(4, f"{args.features}: {exc}") from None
     _write_artifact(pipeline.taylor_to_dict(taylor), "taylor", args.out)
     if args.svg:
         Path(args.svg).write_text(pipeline.render_taylor_svg(taylor), encoding="utf-8")

@@ -131,7 +131,7 @@ def detect_segments(reference: CycleRecord, alpha: float = 0.5,
 
 
 def _feature_block(T: np.ndarray, V: np.ndarray, levels) -> tuple[np.ndarray, ...]:
-    """F1-F13 of k cycles of n >= 1 samples each, with the line fit's stt and r2.
+    """F1-F13 of k cycles of n >= 1 samples each, with the line fit's stt.
 
     Row i of the C-contiguous (k, n) blocks ``T`` and ``V`` holds cycle i's
     samples; ``levels`` are the crossing levels of F6, F9, F10 and the end of
@@ -146,10 +146,6 @@ def _feature_block(T: np.ndarray, V: np.ndarray, levels) -> tuple[np.ndarray, ..
         stt = (dt ** 2).sum(axis=1)
         slope = (dt * dv).sum(axis=1) / stt
         intercept = v_mean - slope * t_mean
-        ss_res = ((V - (slope[:, None] * T + intercept[:, None])) ** 2).sum(axis=1)
-        ss_tot = (dv ** 2).sum(axis=1)
-        # A constant voltage fits exactly: r2 = 1. fmin takes nan to 1.0, as min() does.
-        r2 = np.where(ss_tot == 0.0, 1.0, np.fmax(0.0, np.fmin(1.0, 1.0 - ss_res / ss_tot)))
         # Interpolate between the first sample at or above each level and the
         # one before: t[0] if the curve starts there, t[-1] if it never gets there.
         reached = V[:, None, :] >= levels[:, None]  # (k, 4, n)
@@ -163,7 +159,7 @@ def _feature_block(T: np.ndarray, V: np.ndarray, levels) -> tuple[np.ndarray, ..
         mean_v = np.where(total > 0, np.trapezoid(V, T, axis=1) / total, v_mean)
     X = np.column_stack((V[:, 0], V[:, -1], total, slope, intercept, e0, e1 - e0, e2 - e1,
                          e1, e2, mean_v, e3 - e2, np.median(V, axis=1)))
-    return X, stt, r2
+    return X, stt
 
 
 # Why a cycle has no feature row, in the order a cycle is checked.
@@ -179,8 +175,8 @@ def _feature_rows(cycles, seg: VoltageSegments) -> tuple[np.ndarray, list[str | 
     X, levels = np.zeros((len(cycles), len(FEATURE_NAMES))), seg.levels()
     for size in np.unique(n[fault < 0]).tolist():
         rows = np.flatnonzero((n == size) & (fault < 0))
-        X[rows], stt, _ = _feature_block(np.stack([cycles[i].times for i in rows]),
-                                         np.stack([cycles[i].voltages for i in rows]), levels)
+        X[rows], stt = _feature_block(np.stack([cycles[i].times for i in rows]),
+                                      np.stack([cycles[i].voltages for i in rows]), levels)
         fault[rows] = np.where(stt == 0.0, 1, np.where(np.isfinite(X[rows]).all(axis=1), -1, 3))
     return X, [_FAULTS[f].format(c.cycle_index) if f >= 0 else None
                for c, f in zip(cycles, fault.tolist())]

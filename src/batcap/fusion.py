@@ -5,8 +5,9 @@ to a target perplexity; low-dimensional affinities use a Student-t kernel
 with one degree of freedom. The embedding minimizes KL(P || Q) by gradient
 descent with momentum and early exaggeration. Candidate output dimensions
 are screened by their final KL value; a screen calibrates P once and embeds
-every candidate dimension from it. Out-of-sample rows are embedded a chunk
-of rows at a time, with the same bits as one row at a time.
+every candidate dimension from it, spread over the usable CPUs with the same
+bits as one after another. Out-of-sample rows are embedded a chunk of rows at
+a time, with the same bits as one row at a time.
 """
 
 from __future__ import annotations
@@ -256,13 +257,19 @@ class ScreeningResult:
 def screen_dimensions(X: np.ndarray, dims=(1, 2, 3),
                       params: TsneParams = TsneParams()) -> ScreeningResult:
     """Embed at each candidate dimension from one calibrated P and recommend
-    the smallest KL."""
+    the smallest KL.
+
+    Each dimension's embed draws from its own seed stream, so the embeds run
+    across the usable CPUs (``parallel.ordered_map``) and give the same bits
+    for any CPU count.
+    """
+    from .parallel import ordered_map  # here, so a cold predict does not load it
     params.validate()
     X = np.asarray(X, dtype=float)
     affinities = joint_affinities(X, _effective_perplexity(params, len(X)))
-    embeddings = {}
-    for d in dims:
-        embeddings[d] = tsne_embed(X, d, params, affinities)
+    dims = tuple(dims)
+    embedded = ordered_map(lambda d: tsne_embed(X, d, params, affinities), dims)
+    embeddings = dict(zip(dims, embedded))
     kl_by_dim = {d: e.final_kl for d, e in embeddings.items()}
     recommended = min(sorted(kl_by_dim), key=lambda d: kl_by_dim[d])
     return ScreeningResult(embeddings=embeddings, kl_by_dim=kl_by_dim,

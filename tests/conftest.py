@@ -47,13 +47,21 @@ class LineFit:
 
 
 def fit_charging_line(rec):
-    """Ordinary least squares of voltage on time over the whole cycle (F4, F5)."""
+    """Ordinary least squares of voltage on time over the whole cycle (F4, F5),
+    and the fit's r2."""
     if len(rec.times) < 2:
         raise ValueError(features._FAULTS[0])
-    X, stt, r2 = features._feature_block(rec.times[None], rec.voltages[None], (0.0,) * 4)
+    T, V = rec.times[None], rec.voltages[None]
+    X, stt = features._feature_block(T, V, (0.0,) * 4)
     if stt[0] == 0.0:
         raise ValueError(features._FAULTS[1])
-    return LineFit(slope=float(X[0, 3]), intercept=float(X[0, 4]), r2=float(r2[0]))
+    slope, intercept = X[:, 3], X[:, 4]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ss_res = ((V - (slope[:, None] * T + intercept[:, None])) ** 2).sum(axis=1)
+        ss_tot = ((V - V.mean(axis=1)[:, None]) ** 2).sum(axis=1)
+        # A constant voltage fits exactly: r2 = 1. fmin takes nan to 1.0, as min() does.
+        r2 = np.where(ss_tot == 0.0, 1.0, np.fmax(0.0, np.fmin(1.0, 1.0 - ss_res / ss_tot)))
+    return LineFit(slope=float(slope[0]), intercept=float(intercept[0]), r2=float(r2[0]))
 
 
 def first_crossing_time(rec, level):

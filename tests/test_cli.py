@@ -560,6 +560,28 @@ def test_evaluate_and_shap_name_the_features_file_their_model_overflows(inputs, 
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("model", ["model.json", "knn.json"])
+def test_shap_names_the_features_file_when_only_its_last_row_overflows(inputs, model, cpus,
+                                                                       capsys, monkeypatch):
+    # The ordered split leaves the last row out of the background, so it is the
+    # one row that fails; with 2 CPUs it runs off the calling thread.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    header, *rows = (inputs / "features.csv").read_text().splitlines()
+    cycle, *_, target = rows[-1].split(",")
+    rows[-1] = ",".join([cycle, *["1e308"] * len(features.FEATURE_NAMES), target])
+    (inputs / "huge_last_row.csv").write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_expand(inputs, ["shap", "--model", f"@{model}", "--split-ordered",
+                                     "--features", "@huge_last_row.csv", "--out", "@out.json"]))
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"ERROR 4: {inputs / 'huge_last_row.csv'}: feature values are outside what the "
+        "model's normalization can represent\n")
+    assert [str(w.message) for w in caught] == []
+
+
 FIT_ON_HUGE_FEATURES = {
     "correlate": ["--out", "@out.json"],
     "fuse": ["--out", "@out.json"],
@@ -602,6 +624,25 @@ def test_compare_on_huge_targets_warns_nothing_and_keeps_the_tree_models(inputs,
     with np.errstate(all="ignore"):
         run(_expand(inputs, [*args, "--out", "@taylor_scalar.json"]))
     assert (inputs / "taylor_huge.json").read_bytes() == (inputs / "taylor_scalar.json").read_bytes()
+
+
+def test_compare_names_the_features_file_whose_targets_leave_the_correlation_undefined(
+        inputs, capsys):
+    # Targets near 1e151: the root's squared sum overflows, every split gain is
+    # NaN, each tree is a stump, and the correlation of its constant
+    # prediction is undefined.
+    header, *rows = (inputs / "features.csv").read_text().splitlines()
+    rows = [f"{head},{float(y) * 1e151!r}" for head, y in (row.rsplit(",", 1) for row in rows)]
+    (inputs / "scaled_targets.csv").write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_expand(inputs, ["compare", "--features", "@scaled_targets.csv",
+                                     "--models", "rf,gbrt", "--out", "@out.json"]))
+    err = capsys.readouterr().err
+    assert code == 4 and err.count("\n") == 1
+    assert err == (f"ERROR 4: {inputs / 'scaled_targets.csv'}: "
+                   "constant series: correlation undefined\n")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("name", MISSHAPEN_MODELS)
@@ -693,7 +734,8 @@ def test_features_reads_segments_before_the_csvs(inputs, segments, code, capsys,
 
 
 # Layers that fit, ingest or explain; a cold predict on an ELM loads none of them.
-FIT_LAYERS = {"data", "features", "correlation", "attribution", "pipeline", "woa", "baselines"}
+FIT_LAYERS = {"data", "features", "correlation", "attribution", "pipeline", "woa", "baselines",
+              "parallel"}
 
 
 @pytest.mark.parametrize("model,loaded", [(None, set()), ("model.json", set()),

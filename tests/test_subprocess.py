@@ -1,6 +1,7 @@
 """Runs in a fresh interpreter: BLAS reads its thread count once, at import,
 and the scripts are run the way their users run them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,65 @@ def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert _mask_wall_times(one[name]) == _mask_wall_times(two[name])
         else:
             assert one[name] == two[name], f"{name} differs between 1 and 2 BLAS threads"
+
+
+def explain_chain(out_dir: Path) -> None:
+    """fuse at d = 1, 2, 3, plain shap and fused shap on a 40-cycle cell."""
+    from batcap.cli import main
+
+    out_dir.mkdir()
+    (out_dir / "synth.json").write_text(json.dumps(
+        {"n_cycles": 40, "q0": 170.0, "fade_rate": 0.003, "seed": 21}))
+    (out_dir / "train.json").write_text(json.dumps({"hidden_l": 12, "woa_iters": 5, "woa_pop": 8}))
+
+    def run(*args):
+        assert main(["--seed", "99", *(str(a) for a in args)]) == 0
+
+    samples, capacity = out_dir / "samples.csv", out_dir / "capacity.csv"
+    feats, cfg = out_dir / "features.csv", out_dir / "train.json"
+    run("synth", "--config", out_dir / "synth.json", "--out-dir", out_dir)
+    run("segment", "--samples", samples, "--capacity", capacity, "--out", out_dir / "segments.json")
+    run("features", "--samples", samples, "--capacity", capacity,
+        "--segments", out_dir / "segments.json", "--out", feats)
+    run("fuse", "--features", feats, "--dims", "1,2,3", "--iterations", "260",
+        "--out", out_dir / "fusion.json")
+    run("train", "--features", feats, "--config", cfg, "--model-out", out_dir / "model.json")
+    run("train", "--fused", "--features", feats, "--config", cfg,
+        "--model-out", out_dir / "model_fused.json")
+    run("shap", "--model", out_dir / "model.json", "--features", feats,
+        "--out", out_dir / "shap.json")
+    run("shap", "--model", out_dir / "model_fused.json", "--features", feats, "--rows", "4",
+        "--out", out_dir / "shap_fused.json")
+
+
+def _explain_artifacts(out_dir: Path, cpu: int | None) -> tuple[int, dict[str, bytes]]:
+    """(usable CPUs, artifacts) of explain_chain in a child pinned to ``cpu``,
+    or left on every usable CPU when ``cpu`` is None. The child pins itself
+    before it imports numpy."""
+    code = ("import os, pathlib, sys\n"
+            "if sys.argv[3] != 'all':\n"
+            "    os.sched_setaffinity(0, {int(sys.argv[3])})\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_subprocess import explain_chain\n"
+            "explain_chain(pathlib.Path(sys.argv[2]))\n"
+            "print(len(os.sched_getaffinity(0)))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(TESTS), str(out_dir),
+                           "all" if cpu is None else str(cpu)],
+                          env=_env(), check=True, capture_output=True, text=True, timeout=300)
+    artifacts = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+                 if p.suffix in (".json", ".csv")}
+    return int(proc.stdout.split()[-1]), artifacts
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least 2 usable CPUs")
+def test_fuse_and_shap_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    one_cpu, pinned = _explain_artifacts(tmp_path / "pinned", min(os.sched_getaffinity(0)))
+    all_cpus, spread = _explain_artifacts(tmp_path / "spread", None)
+    assert one_cpu == 1 and all_cpus == len(os.sched_getaffinity(0))
+    assert pinned.keys() == spread.keys() and len(pinned) == 11
+    for name in pinned:
+        assert pinned[name] == spread[name], f"{name} differs between 1 and {all_cpus} CPUs"
 
 
 def test_woa_benchmark_script_runs():
