@@ -5,8 +5,8 @@ coordinates in S from the explained instance and the rest from a background
 vector. With M features all 2^M coalition values are evaluated in one batched
 model call, so attributions are exact rather than sampled; M is capped at 20.
 The masks, index arrays and weights depend only on M and are built once per M.
-A summary explains its rows across the usable CPUs, with the same bits as one
-row after another.
+A summary explains its rows across the usable CPUs while M <= 15, with the
+same bits as one row after another.
 """
 
 from __future__ import annotations
@@ -18,9 +18,14 @@ from math import factorial
 
 import numpy as np
 
-from .parallel import ordered_map
+from .parallel import MAX_WORKERS, ordered_map
 
 MAX_FEATURES_EXACT = 20
+# A summary runs its rows on several threads only while the (2^M, M) coalition
+# matrix each thread holds stays small (0.85 MB at M = 13). Above M = 15 the
+# rows run one after another, so one matrix is live at a time (168 MB at
+# M = 20, plus a normalized copy in a fused model's predictor).
+THREADED_ROW_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,9 @@ def shapley_summary(predict, X, feature_names=None, background_mode: str = "mean
 
     The background is the mean or median of ``background_rows`` (default: X).
     The rows are independent, so they run across the usable CPUs
-    (``parallel.ordered_map``), with the same bits for any CPU count; the
-    exception of the first failing row is the one raised. ``predict`` must
-    be safe to call from several threads at once.
+    (``parallel.ordered_map``) while M <= 15, with the same bits for any CPU
+    count; the exception of the first failing row is the one raised.
+    ``predict`` must be safe to call from several threads at once.
     """
     if background_mode not in ("mean", "median"):
         raise ValueError("background_mode must be 'mean' or 'median'")
@@ -130,7 +135,10 @@ def shapley_summary(predict, X, feature_names=None, background_mode: str = "mean
     background = B.mean(axis=0) if background_mode == "mean" else np.median(B, axis=0)
     if X.ndim == 2 and X.shape[1] <= MAX_FEATURES_EXACT:
         _coalitions(X.shape[1])  # build the shared tables once, before any thread
-    reports = ordered_map(lambda row: shapley_exact(predict, row, background, feature_names), X)
+    m = X.shape[-1]
+    workers = MAX_WORKERS if (8 << m) * m <= THREADED_ROW_BYTES else 1
+    reports = ordered_map(lambda row: shapley_exact(predict, row, background, feature_names), X,
+                          workers)
     phi_table = np.stack([r.phi for r in reports])
     mean_abs = np.abs(phi_table).mean(axis=0)
     names = reports[0].feature_names

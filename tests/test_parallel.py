@@ -20,7 +20,7 @@ def cpus(monkeypatch):
 
 def test_results_come_back_in_input_order(cpus):
     cpus(3)
-    out = parallel.ordered_map(lambda i: (i * i, threading.current_thread()), range(8))
+    out = parallel.ordered_map(lambda i: (i * i, threading.current_thread()), range(8), workers=3)
     assert [value for value, _ in out] == [i * i for i in range(8)]
     # contiguous slices [0, 2), [2, 5), [5, 8); the caller runs the first
     ran_on = [thread for _, thread in out]
@@ -47,7 +47,7 @@ def test_the_earliest_failing_slice_raises(cpus, failing, raised):
         return i
 
     with pytest.raises(ValueError, match=f"^{raised}$"):
-        parallel.ordered_map(fn, range(6))
+        parallel.ordered_map(fn, range(6), workers=3)
     assert threading.active_count() == start
 
 
@@ -103,16 +103,66 @@ def test_the_callers_error_state_reaches_every_worker(cpus, over):
     assert seen == [over, over] and caught == []
 
 
-@pytest.mark.parametrize("n_cpus,items", [(4, [7]), (1, range(5))])
-def test_one_item_or_one_cpu_starts_no_thread(cpus, monkeypatch, n_cpus, items):
+def no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+@pytest.mark.parametrize("n_cpus,workers,items", [(4, 2, [7]), (1, 2, range(5)), (4, 1, range(5))])
+def test_one_item_cpu_or_worker_starts_no_thread(cpus, monkeypatch, n_cpus, workers, items):
     cpus(n_cpus)
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
     monkeypatch.setattr(parallel.threading, "Thread", no_thread)
-    assert parallel.ordered_map(lambda i: i + 1, items) == [i + 1 for i in items]
-    assert parallel.ordered_map(lambda i: i, []) == []
+    assert parallel.ordered_map(lambda i: i + 1, items, workers) == [i + 1 for i in items]
+    assert parallel.ordered_map(lambda i: i, [], workers) == []
+
+
+def test_the_threads_are_capped_at_max_workers(cpus):
+    cpus(8)
+    start = threading.active_count()
+    seen = parallel.ordered_map(lambda i: (threading.current_thread(), threading.active_count()),
+                                range(8))
+    assert len({thread for thread, _ in seen}) == parallel.MAX_WORKERS == 2
+    assert max(count for _, count in seen) == start + 1
+
+
+def test_an_interrupted_wait_stops_the_workers_and_joins_them(cpus, monkeypatch):
+    # Ctrl-C reaches the calling thread while it waits for a worker: the worker
+    # finishes its current item, runs no further one, and is joined.
+    cpus(2)
+    start = threading.active_count()
+    release, ran = threading.Event(), []
+
+    class InterruptedJoin(threading.Thread):
+        joins = 0
+
+        def join(self, timeout=None):
+            InterruptedJoin.joins += 1
+            if InterruptedJoin.joins == 1:
+                raise KeyboardInterrupt
+            release.set()  # the interrupt is recorded by now
+            super().join(timeout)
+
+    def fn(i):
+        ran.append(i)
+        if i == 3:
+            release.wait(10)
+        return i
+
+    monkeypatch.setattr(parallel.threading, "Thread", InterruptedJoin)
+    with pytest.raises(KeyboardInterrupt):
+        parallel.ordered_map(fn, range(6))
+    assert sorted(ran) == [0, 1, 2, 3] and threading.active_count() == start
+
+
+def test_summary_rows_run_serially_above_the_threaded_size(cpus, monkeypatch):
+    cpus(4)
+    predict = lambda Z: np.atleast_2d(Z).sum(axis=1)
+    X = np.arange(2 * 16, dtype=float).reshape(2, 16)
+    assert (8 << 16) * 16 > attribution.THREADED_ROW_BYTES >= (8 << 15) * 15
+    monkeypatch.setattr(parallel.threading, "Thread", no_thread)
+    summary = attribution.shapley_summary(predict, X)
+    assert np.allclose(summary.phi_table, X - X.mean(axis=0))
+    with pytest.raises(AssertionError, match="a thread was started"):
+        attribution.shapley_summary(predict, X[:, :15])
 
 
 def test_summary_and_screen_bits_do_not_depend_on_the_cpu_count(cpus):
