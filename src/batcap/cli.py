@@ -27,7 +27,7 @@ import numpy as np
 
 from . import modelio
 from .jsonio import dump_json, format_number, load_schema, validate_schema
-from .names import FEATURE_NAMES, FEATURE_UNITS
+from .names import FEATURE_NAMES, FEATURE_UNITS, MAX_MAGNITUDE
 from .rng import derive_seed
 
 DEFAULT_SEED = 42
@@ -151,22 +151,6 @@ def _load_model(path: str, source: str):
     return kind, checked
 
 
-def _fit_matrix(text: str) -> features.FeatureMatrix:
-    """The features file of a command that fits or analyses all its rows.
-
-    Normalization, feature grouping and correlation all square the
-    deviations from each column's mean; a column whose variance overflows
-    is an input error, raised before any of them prints a numpy warning.
-    """
-    from . import features
-    matrix = features.matrix_from_csv(text)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite(matrix.X.var(axis=0))) and np.isfinite(matrix.y.var())
-    if not finite:
-        raise ValueError("values too large: a column's variance overflows")
-    return matrix
-
-
 def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDataset:
     from . import data
     if args.split_ordered:
@@ -179,11 +163,13 @@ def _make_split(args, master: int, n_rows: int, ratio: float) -> data.SplitDatas
 _JSON_TYPES = {int: "integer", float: "number", str: "string"}
 
 
-def _config(cls, path: str | None, **fixed):
+def _config(cls, path: str | None, check=None, **fixed):
     """A TrainConfig or SynthConfig from the fields of a JSON object.
 
     Each key must name a field and hold a JSON value of the field's type;
-    numbers on float fields become floats. ``fixed`` values override the file.
+    numbers on float fields become floats within ``MAX_MAGNITUDE``. ``fixed``
+    values override the file. The config must pass its ``validate`` and
+    ``check(config)``.
     """
     def decode(text):
         obj = _json_object(text)
@@ -194,16 +180,24 @@ def _config(cls, path: str | None, **fixed):
         schema = {"properties": {name: {"type": _JSON_TYPES[t]} for name, t in types.items()}}
         validate_schema(obj, schema)
         values = {k: v if types[k] in (int, str) else float(v) for k, v in obj.items()}
+        for key, value in values.items():
+            if types[key] is float and not abs(value) <= MAX_MAGNITUDE:
+                raise ValueError(f"bad {key} value {obj[key]!r}")
         cfg = cls(**{**values, **fixed})
         cfg.validate()
+        if check:
+            check(cfg)
         return cfg
 
     return _read_input(path, decode) if path else cls(**fixed)
 
 
-def _train_config(args, master: int) -> pipeline.TrainConfig:
-    from . import pipeline
-    return _config(pipeline.TrainConfig, args.config, seed=derive_seed(master, "train"))
+def _train_config(args, master: int, n_rows: int) -> pipeline.TrainConfig:
+    """The train config; its split ratio must leave rows on both sides of n_rows."""
+    from . import data, pipeline
+    return _config(pipeline.TrainConfig, args.config,
+                   check=lambda cfg: data._train_size(n_rows, cfg.split_ratio),
+                   seed=derive_seed(master, "train"))
 
 
 def cmd_synth(args) -> int:
@@ -212,7 +206,10 @@ def cmd_synth(args) -> int:
     if os.environ.get("RUN_SEED") is not None or args.seed is not None:
         fixed["seed"] = derive_seed(_master_seed(args), "synth")
     cfg = _config(data.SynthConfig, args.config, **fixed)
-    ds = data.synth_dataset(cfg)
+    try:
+        ds = data.synth_dataset(cfg)
+    except ValueError as exc:  # the config's fade law leaves a cycle no capacity
+        raise CliError(4, f"{args.config}: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "samples.csv").write_text(data.samples_csv(ds), encoding="utf-8")
@@ -247,8 +244,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    from . import correlation
-    matrix = _read_input(args.features, _fit_matrix)
+    from . import correlation, features
+    matrix = _read_input(args.features, features.matrix_from_csv)
     report = correlation.correlation_report(matrix, rho=args.rho)
     _write_artifact(correlation.report_to_dict(report), "correlation", args.out)
     print(f"top by |pcc|: {', '.join(report.ranking_pcc[:3])}")
@@ -256,11 +253,11 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    from . import fusion
+    from . import features, fusion
     force_dim = args.force_dim
     if force_dim is not None and force_dim not in args.dims:
         raise CliError(2, f"--force-dim {force_dim} not among requested dims {args.dims}")
-    matrix = _read_input(args.features, _fit_matrix)
+    matrix = _read_input(args.features, features.matrix_from_csv)
     master = _master_seed(args)
     params = fusion.TsneParams(
         perplexity=args.perplexity,
@@ -277,10 +274,10 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import pipeline
-    matrix = _read_input(args.features, _fit_matrix)
+    from . import features, pipeline
+    matrix = _read_input(args.features, features.matrix_from_csv)
     master = _master_seed(args)
-    cfg = _train_config(args, master)
+    cfg = _train_config(args, master, len(matrix.y))
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
     train_idx = list(split.train)
     X_train, y_train = matrix.X[train_idx], matrix.y[train_idx]
@@ -328,7 +325,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from . import pipeline
+    from . import features, pipeline
     from .baselines import baseline_fit
     from .elm import elm_fit, elm_predict
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
@@ -337,9 +334,9 @@ def cmd_compare(args) -> int:
     for kind in kinds:
         if kind not in COMPARE_KINDS:
             raise CliError(2, f"unknown model kind {kind!r}")
-    matrix = _read_input(args.features, _fit_matrix)
+    matrix = _read_input(args.features, features.matrix_from_csv)
     master = _master_seed(args)
-    cfg = _train_config(args, master)
+    cfg = _train_config(args, master, len(matrix.y))
     split = _make_split(args, master, len(matrix.y), cfg.split_ratio)
     train_idx, test_idx = list(split.train), list(split.test)
     X_train, y_train = matrix.X[train_idx], matrix.y[train_idx]
@@ -376,10 +373,8 @@ def cmd_shap(args) -> int:
     master = _master_seed(args)
     split = _make_split(args, master, len(matrix.y), args.ratio)
     rows = matrix.X if args.rows is None else matrix.X[: args.rows]
-    with np.errstate(over="ignore"):  # an overflowing background mean fails in predict
-        summary = attribution.shapley_summary(predict, rows, matrix.feature_names,
-                                              args.background,
-                                              background_rows=matrix.X[list(split.train)])
+    summary = attribution.shapley_summary(predict, rows, matrix.feature_names, args.background,
+                                          background_rows=matrix.X[list(split.train)])
     obj = attribution.summary_to_dict(summary)
     _write_artifact(obj, "shap", args.out)
     print(f"mean |phi| ranking: {', '.join(obj['ranking'][:3])}")
@@ -387,15 +382,17 @@ def cmd_shap(args) -> int:
 
 
 def _feature_vector(text: str) -> np.ndarray:
-    """The row of a ``predict --input`` file: a JSON list, or one under ``features``."""
+    """The row of a ``predict --input`` file: a JSON list of numbers within
+    ``MAX_MAGNITUDE``, or one under ``features``."""
     payload = json.loads(text)
     vector = payload.get("features") if isinstance(payload, dict) else payload
     if not (isinstance(vector, list) and len(vector) == len(FEATURE_NAMES)
             and all(type(v) in (int, float) for v in vector)):  # bool is not a number here
         raise ValueError(f"expected a list of {len(FEATURE_NAMES)} JSON numbers")
     x = np.array(vector, dtype=float)  # an integer beyond the float range overflows
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature values must be finite numbers")
+    beyond = np.flatnonzero(~(np.abs(x) <= MAX_MAGNITUDE))
+    if len(beyond):
+        raise ValueError(f"bad {FEATURE_NAMES[beyond[0]]} value {vector[beyond[0]]!r}")
     return x
 
 
@@ -408,10 +405,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    from . import pipeline
-    matrix = _read_input(args.features, _fit_matrix)
+    from . import features, pipeline
+    matrix = _read_input(args.features, features.matrix_from_csv)
     master = _master_seed(args)
-    cfg = _train_config(args, master)
+    cfg = _train_config(args, master, len(matrix.y))
     obj = pipeline.comparison_to_dict(pipeline.fused_comparison(matrix, cfg))
     _write_artifact(obj, "fusion_report", args.out)
     time_row = [r for r in obj["rows"] if r["item"] == "Time(mS)"][0]

@@ -10,18 +10,18 @@ whole files as arrays. This module holds the CSV format of all three files,
 samples, capacity and features (``features`` calls its reader and writer).
 Each parser splits the file into lines once, which checks the header and the
 column count (``_csv_lines``), and converts its number columns with numpy's C
-text reader (``_number_columns``). That reader sees only ASCII text without
-the padding it accepts and ``int``/``float`` refuse; on other text, or when
-it refuses a token, each token goes through ``int``/``float`` instead. So
-both paths accept the same spellings and give the same bits: the ones
-``int`` and ``float`` accept (a tighter number grammar is still open). The
-samples parser groups a cycle's rows even when other cycles split them up,
-and checks every cycle in one array pass (``_check_runs``). Only on an error
-is the file read line by line again, to name the line. The writer
-(``_csv_text``) formats the whole file with one ``%``. ``synth_dataset``
-draws every cycle's stream at once through RNG lanes (``rng.normal_lanes``)
-and computes the curves as arrays. Both give the same records, bit for bit,
-as one line or one sample at a time.
+text reader, the only conversion (``_number_columns``). A number is ASCII:
+padding (space, tab, VT, FF, 0x1C-0x1F), then a decimal integer within int64
+for a cycle, or numpy's float spelling within +-``MAX_MAGNITUDE`` (1e100,
+which refuses NaN and +-inf), then padding; only a line's last column may end
+with a lone carriage return. The reader only ever sees ASCII text, since some
+other text crashes it; the battery id column is free text. An error names the
+first refused token, by line and column. The samples parser groups a cycle's
+rows even when other cycles split them up, and checks every cycle in one
+array pass (``_check_runs``). The writer (``_csv_text``) formats the whole
+file with one ``%``. ``synth_dataset`` draws every cycle's stream at once
+through RNG lanes (``rng.normal_lanes``) and computes the curves as arrays.
+Both give the same records, bit for bit, as one line or one sample at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .names import MAX_MAGNITUDE
 from .rng import Rng, derive_seed, normal_lanes
 
 SAMPLES_HEADER = "battery_id,cycle,time_s,voltage_v"
@@ -78,12 +79,6 @@ class CycleRecord:
         """Check the samples; ``Dataset.validate`` checks the joined-in capacity."""
         _check_runs([self.cycle_index], self.times, self.voltages, [0, len(self.times)])
 
-    def time_array(self) -> np.ndarray:
-        return self.times
-
-    def voltage_array(self) -> np.ndarray:
-        return self.voltages
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -128,7 +123,8 @@ class SynthConfig:
     noise_sd is the voltage-sample noise in volts; capacity noise uses
     noise_sd * q0 so a single knob controls both. Keep noise_sd <= 0.00125 V:
     voltage noise is clipped at +-2 sigma, which keeps curves inside the 5 mV
-    monotonicity band.
+    monotonicity band. Above 0.01 V, which ``validate`` refuses, no curve
+    stays inside it, and the jittered phases would grow without bound.
     """
 
     n_cycles: int = 200
@@ -142,8 +138,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_cycles < 20:
             raise ValueError("n_cycles must be >= 20")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        if not 0 <= self.noise_sd <= 0.01:
+            raise ValueError("noise_sd must lie in [0, 0.01]")
         if self.fade_rate < 0:
             raise ValueError("fade_rate must be >= 0")
         if self.fade_power <= 0:
@@ -169,8 +165,7 @@ def _csv_lines(csv_text: str, header: str) -> list[str]:
     """The non-blank body lines of a CSV file, in file order.
 
     Checks the header, which must be the first line, and the column count of
-    every non-blank line. Lines keep their padding: ``int`` and ``float``
-    ignore it.
+    every non-blank line. Lines keep their padding: numpy's reader skips it.
     """
     lines = _split_lines(csv_text)
     if lines[0].strip() != header:
@@ -197,60 +192,66 @@ def _check_one_battery(csv_text: str, lines: list[str], kind: str) -> None:
         raise ValueError(f"multiple battery ids in one {kind} file: {sorted(battery_ids)}")
 
 
-def _bad_token(csv_text: str, tokens: list[str], columns) -> tuple[int, ValueError]:
-    """The first row with a token its column's type refuses, and the error naming it.
-
-    ``columns`` is (name, type) of each column; within a row they are tried
-    in that order.
-    """
-    n_cols = len(columns)
-    for row in range(len(tokens) // n_cols):
-        for token, (name, kind) in zip(tokens[row * n_cols:(row + 1) * n_cols], columns):
-            try:
-                kind(token)
-            except ValueError:
-                return row, ValueError(f"line {_line_no(csv_text, row)}: bad {name} value "
-                                       f"{token.strip()!r}")
-    raise AssertionError("no token is refused")
-
-
-# Padding that numpy's reader accepts around a number and int() and float()
-# refuse.
-_NUMPY_ONLY_PADDING = "\x1c\x1d\x1e\x1f"
+def _load(lines: list[str], dtype: np.dtype, usecols) -> np.ndarray | None:
+    """numpy's C reader on ASCII ``lines`` (some other text crashes it), or
+    None when it refuses a token or reads a float beyond ``MAX_MAGNITUDE``."""
+    if not lines:
+        return np.empty(0, dtype)
+    try:
+        table = np.loadtxt(lines, delimiter=",", usecols=usecols, dtype=dtype, comments=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    floats = (table[name] for name in dtype.names if dtype[name] == np.float64)
+    # min and max are NaN when a value is, and need no temporary array
+    return table if all(-MAX_MAGNITUDE <= x.min() and x.max() <= MAX_MAGNITUDE
+                        for x in floats) else None
 
 
 def _number_columns(csv_text: str, lines: list[str], columns) -> tuple[list, ValueError | None]:
     """The int and float columns of the body lines, each as one array.
 
     ``columns`` is (name, type) of each column, of type str, int or float;
-    str columns are skipped. numpy's C reader converts the columns of ASCII
-    text free of ``_NUMPY_ONLY_PADDING``: there it accepts a subset of the
-    spellings ``int`` and ``float`` accept, with the same bits. It never
-    sees non-ASCII text, some of which crashes it. Otherwise, or when it
-    refuses a token, ``int`` and ``float`` convert each token, an int column
-    into an object array of Python ints. When they refuse one, the arrays
-    hold the rows before its row and the error names it; else the error is
-    None.
+    the str columns come first and are skipped. ``_load`` is the only
+    conversion, to int64 and float64. It reads whole lines of ASCII text.
+    Otherwise, or when it refuses one, it reads the number columns alone,
+    in runs of rows bisected down to the first row it refuses or the first
+    with a non-ASCII number, and then that row's tokens one at a time. When
+    a token is refused, the arrays hold the rows before its row and the
+    error names it; else the error is None.
     """
-    numbers = [(j, name, kind) for j, (name, kind) in enumerate(columns) if kind is not str]
-    if lines and csv_text.isascii() and not any(map(csv_text.__contains__, _NUMPY_ONLY_PADDING)):
-        dtype = [(name, np.int64 if kind is int else np.float64) for _, name, kind in numbers]
-        try:
-            table = np.loadtxt(lines, delimiter=",", usecols=[j for j, _, _ in numbers],
-                               dtype=dtype, comments=None, ndmin=1)
-        except ValueError:
-            pass
-        else:  # one contiguous array per column: records are views into them
-            return [np.ascontiguousarray(table[name]) for _, name, _ in numbers], None
-    tokens = ",".join(lines).split(",") if lines else []
-    n_cols, error = len(columns), None
-    try:
-        values = [list(map(kind, tokens[j::n_cols])) for j, _, kind in numbers]
-    except ValueError:
-        row, error = _bad_token(csv_text, tokens, columns)
-        values = [list(map(kind, tokens[j:row * n_cols:n_cols])) for j, _, kind in numbers]
-    return [np.array(v, dtype=object if kind is int else float)
-            for v, (_, _, kind) in zip(values, numbers)], error
+    first = next(j for j, (_, kind) in enumerate(columns) if kind is not str)
+    dtype = np.dtype([(name, np.int64 if kind is int else np.float64)
+                      for name, kind in columns[first:]])
+    table = _load(lines, dtype, range(first, len(columns))) if csv_text.isascii() else None
+    refused = len(lines)
+    if table is None:
+        cut = [line.split(",", first)[-1] for line in lines]
+        refused = next((i for i, line in enumerate(cut) if not line.isascii()), len(cut))
+        # The rows before lo are read; the first refused row lies in [lo, refused].
+        parts, lo, hi = [np.empty(0, dtype)], 0, refused
+        while lo < hi:
+            part = _load(cut[lo:hi], dtype, None)
+            if part is not None:
+                parts.append(part)
+                lo, hi = hi, refused
+            elif hi - lo == 1:
+                refused = lo
+                break
+            else:
+                refused, hi = hi, (lo + hi) // 2
+        table = np.concatenate(parts)
+    # one contiguous array per column: records are views into them
+    arrays = [np.ascontiguousarray(table[name]) for name in dtype.names]
+    if refused == len(lines):
+        return arrays, None
+    # Each token is read followed by a comma, as inside a row, where a "\r" is
+    # refused; the row's last token is reached only when it is the refused one.
+    tokens = lines[refused].split(",")[first:]
+    j = next(j for j, token in enumerate(tokens) if not token.isascii()
+             or _load([token + ","], np.dtype([dtype.descr[j]]), [0]) is None)
+    return arrays, ValueError(f"line {_line_no(csv_text, refused)}: bad {dtype.names[j]} "
+                              f"value {tokens[j]!r}")
 
 
 def _check_runs(cycles, times: np.ndarray, voltages: np.ndarray, bounds) -> None:
@@ -328,16 +329,15 @@ def parse_samples(csv_text: str) -> list[CycleRecord]:
 def parse_capacity(csv_text: str) -> dict[int, float]:
     """Parse a capacity CSV into {cycle_index: discharge_capacity_mah}.
 
-    Rows are checked in file order: their tokens, then a repeated cycle, a
-    non-positive and a non-finite capacity.
+    Rows are checked in file order: their tokens, then a repeated cycle and
+    a non-positive capacity.
     """
     lines = _csv_lines(csv_text, CAPACITY_HEADER)
     _check_one_battery(csv_text, lines, "capacity")
     (cycles, caps), error = _number_columns(csv_text, lines, _CAPACITY_COLUMNS)
     capacities: dict[int, float] = {}
     for row, (cyc, cap) in enumerate(zip(cycles.tolist(), caps.tolist())):
-        fault = ("duplicate" if cyc in capacities else "non-positive" if cap <= 0
-                 else None if math.isfinite(cap) else "non-finite")
+        fault = "duplicate" if cyc in capacities else "non-positive" if cap <= 0 else None
         if fault:
             raise ValueError(f"line {_line_no(csv_text, row)}: {fault} capacity for cycle {cyc}")
         capacities[cyc] = cap
@@ -485,7 +485,9 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
     """
     cfg.validate()
     n = np.arange(1, cfg.n_cycles + 1, dtype=float)
-    clean_q = cfg.q0 * (1.0 - cfg.fade_rate * n ** cfg.fade_power)
+    with np.errstate(over="ignore"):  # a power beyond the float range fades a cycle out
+        loss = cfg.fade_rate * n ** cfg.fade_power if cfg.fade_rate else np.zeros_like(n)
+    clean_q = cfg.q0 * (1.0 - loss)
     if np.any(clean_q <= 0):
         first_bad = int(n[clean_q <= 0][0])
         raise ValueError(

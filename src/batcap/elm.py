@@ -225,6 +225,8 @@ def elm_predict(model: ElmModel, X: np.ndarray) -> np.ndarray:
     stay cache-sized, and every row gets the same bits as in one pass over
     all rows. A block of one row would take BLAS's matrix-vector path,
     which rounds differently, so a one-row tail joins the block before it.
+    A row far outside the training rows saturates the sigmoid: its exp
+    overflows to inf, silently, and the unit reads 0.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = len(X)
@@ -233,8 +235,9 @@ def elm_predict(model: ElmModel, X: np.ndarray) -> np.ndarray:
         stops.pop()
     out = np.empty(n)
     for start, stop in zip([0, *stops], [*stops, n]):
-        H = elm_hidden(model.norm.transform_x(X[start:stop]), model.omega, model.bias,
-                       model.activation)
+        with np.errstate(over="ignore"):
+            H = elm_hidden(model.norm.transform_x(X[start:stop]), model.omega, model.bias,
+                           model.activation)
         out[start:stop] = model.norm.unscale_y((H @ model.beta)[:, 0])
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CycleRecord, Dataset, _csv_lines, _csv_text, _line_no, _number_columns
+from .data import CycleRecord, Dataset, _csv_lines, _csv_text, _number_columns
 # Both names stay importable from here; they live in the leaf module.
 from .names import FEATURE_NAMES, FEATURE_UNITS
 
@@ -164,7 +164,7 @@ def _feature_block(T: np.ndarray, V: np.ndarray, levels) -> tuple[np.ndarray, ..
 
 # Why a cycle has no feature row, in the order a cycle is checked.
 _FAULTS = ("need at least 2 samples to fit a line", "all sample times identical; slope undefined",
-           "time/voltage length mismatch", "cycle {}: non-finite feature values")
+           "time/voltage length mismatch", "non-finite feature values")
 
 
 def _feature_rows(cycles, seg: VoltageSegments) -> tuple[np.ndarray, list[str | None]]:
@@ -178,16 +178,7 @@ def _feature_rows(cycles, seg: VoltageSegments) -> tuple[np.ndarray, list[str | 
         X[rows], stt = _feature_block(np.stack([cycles[i].times for i in rows]),
                                       np.stack([cycles[i].voltages for i in rows]), levels)
         fault[rows] = np.where(stt == 0.0, 1, np.where(np.isfinite(X[rows]).all(axis=1), -1, 3))
-    return X, [_FAULTS[f].format(c.cycle_index) if f >= 0 else None
-               for c, f in zip(cycles, fault.tolist())]
-
-
-def extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
-    """The 13-feature vector for one cycle (see module docstring for mapping)."""
-    X, (fault,) = _feature_rows((rec,), seg)
-    if fault:
-        raise ValueError(fault)
-    return X[0]
+    return X, [_FAULTS[f] if f >= 0 else None for f in fault.tolist()]
 
 
 def build_matrix(ds: Dataset, seg: VoltageSegments,
@@ -238,15 +229,10 @@ def matrix_to_csv(m: FeatureMatrix) -> str:
 
 def matrix_from_csv(csv_text: str) -> FeatureMatrix:
     """Parse a features CSV; an error names the file line (blank lines counted)
-    and, for a number that is not one or not finite, the column."""
+    and, for a refused number, the column."""
     lines = _csv_lines(csv_text, ",".join(name for name, _ in _CSV_COLUMNS))
     (cycles, *columns), error = _number_columns(csv_text, lines, _CSV_COLUMNS)
     if error:
         raise error
-    X, y = np.column_stack(columns[:-1]), columns[-1]
-    bad = np.argwhere(~np.isfinite(np.column_stack((X, y))))
-    if len(bad):
-        row, col = bad[0].tolist()
-        raise ValueError(f"line {_line_no(csv_text, row)}: non-finite {_CSV_COLUMNS[col + 1][0]} "
-                         f"value {lines[row].split(',')[col + 1].strip()!r}")
-    return FeatureMatrix(X=X, y=y, cycle_indices=tuple(cycles.tolist()))
+    return FeatureMatrix(X=np.column_stack(columns[:-1]), y=columns[-1],
+                         cycle_indices=tuple(cycles.tolist()))

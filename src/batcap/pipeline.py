@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("woa_pop must be >= 2")
         if self.woa_iters < 1:
             raise ValueError("woa_iters must be >= 1")
+        if not abs(self.spiral_b) <= 700.0:  # e^700 keeps a spiral step in the box finite
+            raise ValueError("spiral_b must lie within +-700")
 
 
 def decode_position(vector: np.ndarray, n_inputs: int,
@@ -200,7 +202,7 @@ def taylor_points(models: list[tuple[str, np.ndarray]], actual) -> TaylorData:
             raise ValueError(f"{name}: prediction length mismatch")
         sd_pred = standard_deviation(p)
         centered = rmse(p - p.mean(), a - a.mean())
-        if sd_pred == 0.0:
+        if np.all(p == p[0]):  # its rounded SD need not be 0.0
             points.append(TaylorPoint(name, sd_pred, 1.0, centered, degenerate=True))
         else:
             points.append(TaylorPoint(name, sd_pred, pearson(p, a), centered))

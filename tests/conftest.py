@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ def make_record(times, voltages, cycle_index=1, capacity=None):
         voltages=tuple(float(v) for v in voltages),
         discharge_capacity=capacity,
     )
+
+
+def feature_row(rec, seg):
+    """The 13 features of one cycle, as build_matrix computes them: row 0 of
+    the matrix of three copies of it (a matrix has at least 3 rows)."""
+    rec = dataclasses.replace(rec, discharge_capacity=rec.discharge_capacity or 1.0)
+    return features.build_matrix(data.Dataset("b", 1.0, (rec,) * 3), seg).X[0]
 
 
 # One cycle's line fit, crossing time and segment times, read from the

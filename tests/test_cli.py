@@ -16,7 +16,6 @@ from batcap import attribution, baselines, data, features, modelio, pipeline
 from batcap.cli import build_parser, main
 from batcap.jsonio import dump_json, load_json, load_schema, validate_schema
 from batcap.rng import derive_seed
-from test_baselines import _scalar_best_split
 
 SYNTH_CFG = {"n_cycles": 30, "q0": 170.0, "fade_rate": 0.003, "seed": 11}
 TRAIN_CFG = {"hidden_l": 10, "woa_iters": 10, "woa_pop": 6}
@@ -239,10 +238,11 @@ def inputs(tmp_path_factory):
     n = len(features.FEATURE_NAMES)
     (d / "str_vector.json").write_text(json.dumps(["0.5"] * n))
     (d / "bool_vector.json").write_text(json.dumps([True] * n))
-    (d / "huge_vector.json").write_text(json.dumps([1e308] * n))
+    # every feature at the largest magnitude the CLI reads, in a vector and a row
+    (d / "huge_vector.json").write_text(json.dumps([1e100] * n))
     lines = (d / "features.csv").read_text().splitlines()
     cycle, *_, target = lines[1].split(",")
-    lines[1] = ",".join([cycle, *["1e308"] * n, target])
+    lines[1] = ",".join([cycle, *["1e100"] * n, target])
     (d / "huge_features.csv").write_text("\n".join(lines) + "\n")
     (d / "empty.csv").write_text("")
     header, first, *rows = (d / "features.csv").read_text().splitlines()
@@ -251,25 +251,40 @@ def inputs(tmp_path_factory):
     cells = first.split(",")
     cells[3] = "x"  # F3
     (d / "bad_number.csv").write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
-    for value in NON_FINITE_CELLS:  # in F5 of the second row
+    for value in REFUSED_CELLS:  # in F5 of the second row
         cells = rows[0].split(",")
         cells[5] = value
         (d / f"features_{value}.csv").write_text(
             "\n".join([header, first, ",".join(cells), *rows[1:]]) + "\n")
     (d / "not_utf8.bin").write_bytes(b'{"n_cycles": "\xff"}')
-    # capacity files with a second battery id, and with a NaN or infinite capacity
+    # capacity files with a second battery id, and with a NaN, infinite or too large capacity
     header, *rows = (d / "capacity.csv").read_text().splitlines()
     two_ids = rows[:-10] + [row.replace("synthetic", "other") for row in rows[-10:]]
     (d / "capacity_two_ids.csv").write_text("\n".join([header, *two_ids]) + "\n")
     (d / "capacity_other_id.csv").write_text(
         "\n".join([header, *(row.replace("synthetic", "other") for row in rows)]) + "\n")
-    for value in ("nan", "inf"):
+    for value in ("nan", "inf", "1e101"):
         bad = rows[:12] + [rows[12].rsplit(",", 1)[0] + "," + value] + rows[13:]
         (d / f"capacity_{value}.csv").write_text("\n".join([header, *bad]) + "\n")
+    # samples files with a bad time, a NaN voltage in the cycle segment reads,
+    # an infinite time and a cycle spelled 1_0
     header, first, *rows = (d / "samples.csv").read_text().splitlines()
     battery, cycle, _, voltage = first.split(",")
     (d / "samples_bad_time.csv").write_text(
         "\n".join([header, f"{battery},{cycle},x,{voltage}", *rows]) + "\n")
+    split = data.split_rows(SYNTH_CFG["n_cycles"], 0.7, derive_seed(42, "split"))
+    reference = str(sorted(split.train)[len(split.train) // 2] + 1)
+    rows = [first, *rows]
+    cells = [row.split(",") for row in rows]
+    in_reference = [i for i, c in enumerate(cells) if c[1] == reference]
+    cells[in_reference[len(in_reference) // 2]][3] = "nan"
+    (d / "samples_nan_voltage.csv").write_text(
+        "\n".join([header, *map(",".join, cells)]) + "\n")
+    (d / "samples_inf_time.csv").write_text(
+        "\n".join([header, *rows[:-1], ",".join([*rows[-1].split(",")[:2], "inf", voltage])])
+        + "\n")
+    (d / "samples_cycle_1_0.csv").write_text(
+        "\n".join([header, *rows]).replace(f"{battery},10,", f"{battery},1_0,") + "\n")
     (d / "deep.json").write_text("[" * 200_000)
     (d / "truncated.json").write_text("[")
     (d / "no_features_key.json").write_text('{"values": [0.5]}')
@@ -292,6 +307,21 @@ def inputs(tmp_path_factory):
         (d / name).write_text(json.dumps([*matrix.X[0][:5], value, *matrix.X[0][6:]]))
     for name, obj in _misshapen_models(d, matrix).items():
         dump_json(obj, d / name)
+    # Models that divide by tiny sds or scales, with their weights or training
+    # rows scaled to match: ordinary rows read as before, while huge_vector.json
+    # and huge_features.csv overflow them.
+    elm, knn = load_json(d / "model.json"), load_json(d / "knn.json")
+    tiny = 1e-250
+    dump_json({**elm, "norm": {**elm["norm"], "sds": [sd * tiny for sd in elm["norm"]["sds"]]},
+               "elm": {**elm["elm"], "omega": (np.array(elm["elm"]["omega"]) * tiny).tolist()}},
+              d / "model_tiny_sds.json")
+    tiny = 1e-140  # a knn model squares its distances
+    dump_json(_replaced(knn, "knn", sds=[sd * tiny for sd in knn["knn"]["sds"]],
+                        train_x=(np.array(knn["knn"]["train_x"]) / tiny).tolist()),
+              d / "knn_tiny_sds.json")
+    dump_json({**knn, "fusion": modelio.fusion_section(np.zeros(n), np.full(n, tiny),
+                                                      matrix.X / tiny, matrix.X)},
+              d / "knn_fused_tiny_scales.json")
     # counts and numbers beyond the float range (JSON reads 1e400 as inf), and NaN
     elm, fused = load_json(d / "elm.json"), load_json(d / "fusion_k0.json")
     beta = elm["elm"]["beta"]
@@ -391,9 +421,10 @@ MISSHAPEN_MODELS = ["elm_flat_omega.json", "elm_short_beta.json", "elm_short_b.j
 BAD_SEGMENTS = ["segments_vs1_object.json", "segments_vs1_string.json"]
 
 
-NON_FINITE_CELLS = ("nan", "inf", "-inf", "1e400")
+# features cells beyond the largest magnitude the CLI reads
+REFUSED_CELLS = ("nan", "inf", "-inf", "1e400", "-1e101")
 NON_FINITE_VECTORS = {"nan_vector.json": float("nan"), "inf_vector.json": float("inf"),
-                      "neg_inf_vector.json": float("-inf")}
+                      "neg_inf_vector.json": float("-inf"), "beyond_vector.json": -1e101}
 
 
 def _expand(d, args):
@@ -415,10 +446,14 @@ MALFORMED = [
     (["features", *DATASET, "--segments", "@list.json", "--out", "@out.csv"], 4),
     *[(["features", *DATASET, "--segments", f"@{seg}", "--out", "@out.csv"], 4)
       for seg in BAD_SEGMENTS],
-    *[(args, 4) for capacity in ("capacity_two_ids.csv", "capacity_nan.csv", "capacity_inf.csv")
+    *[(args, 4) for samples, capacity in (
+        ("samples.csv", "capacity_two_ids.csv"), ("samples.csv", "capacity_nan.csv"),
+        ("samples.csv", "capacity_inf.csv"), ("samples.csv", "capacity_1e101.csv"),
+        ("samples_nan_voltage.csv", "capacity.csv"), ("samples_inf_time.csv", "capacity.csv"),
+        ("samples_cycle_1_0.csv", "capacity.csv"))
       for args in (
-        ["segment", "--samples", "@samples.csv", "--capacity", f"@{capacity}", "--out", "@out.json"],
-        ["features", "--samples", "@samples.csv", "--capacity", f"@{capacity}",
+        ["segment", "--samples", f"@{samples}", "--capacity", f"@{capacity}", "--out", "@out.json"],
+        ["features", "--samples", f"@{samples}", "--capacity", f"@{capacity}",
          "--segments", "@segments.json", "--out", "@out.csv"],
     )],
     (["predict", "--model", "@model.json", "--input", "@scalar.json"], 4),
@@ -427,7 +462,7 @@ MALFORMED = [
     (["predict", "--model", "@model.json", "--input", "@str_vector.json"], 4),
     (["predict", "--model", "@model.json", "--input", "@bool_vector.json"], 4),
     *[(["train", "--features", f"@features_{value}.csv", "--model-out", "@out.json"], 4)
-      for value in NON_FINITE_CELLS],
+      for value in REFUSED_CELLS],
     (["correlate", "--features", "@empty.csv", "--out", "@out.json"], 4),
     (["fuse", "--features", "@empty.csv", "--out", "@out.json"], 4),
     (["train", "--features", "@empty.csv", "--model-out", "@out.json"], 4),
@@ -466,13 +501,13 @@ MALFORMED = [
       for dims in ("4", "x", "", "2,,3", "1.5")],
     (["fuse", "--features", "@features.csv", "--dims", "1,2", "--force-dim", "3",
       "--out", "@out.json"], 2),
-    # NaN, Infinity and -Infinity among the features, on a plain and a fused model
+    # NaN, Infinity, -Infinity and 1e101 among the features, on a plain and a fused model
     *[(["predict", "--model", f"@{model}", "--input", f"@{vector}"], 4)
       for model in ("model.json", "knn_fused.json") for vector in NON_FINITE_VECTORS],
-    # finite features whose distances to every training row overflow
-    (["predict", "--model", "@knn.json", "--input", "@huge_vector.json"], 4),
-    # a features row of finite values that overflow the model's normalization or distances
-    *[(args, 4) for model in ("model.json", "knn.json") for args in (
+    # features whose distances to every training row overflow
+    (["predict", "--model", "@knn_tiny_sds.json", "--input", "@huge_vector.json"], 4),
+    # a features row that overflows the model's normalization or distances
+    *[(args, 4) for model in ("model_tiny_sds.json", "knn_tiny_sds.json") for args in (
         ["evaluate", "--model", f"@{model}", "--features", "@huge_features.csv",
          "--out", "@out.json"],
         ["shap", "--model", f"@{model}", "--features", "@huge_features.csv", "--out", "@out.json"],
@@ -506,19 +541,26 @@ def test_fuse_checks_force_dim_before_any_work(inputs, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["segment", "features"])
-@pytest.mark.parametrize("samples,capacity,bad,message", [
-    ("samples.csv", "capacity_nan.csv", "capacity_nan.csv",
-     "line 14: non-finite capacity for cycle 13"),
-    ("samples_bad_time.csv", "capacity.csv", "samples_bad_time.csv",
-     "line 2: bad time_s value 'x'"),
+@pytest.mark.parametrize("samples,capacity,bad,column,token", [
+    ("samples.csv", "capacity_nan.csv", "capacity_nan.csv", "discharge_capacity_mah", "nan"),
+    ("samples.csv", "capacity_1e101.csv", "capacity_1e101.csv", "discharge_capacity_mah",
+     "1e101"),
+    ("samples_bad_time.csv", "capacity.csv", "samples_bad_time.csv", "time_s", "x"),
+    ("samples_nan_voltage.csv", "capacity.csv", "samples_nan_voltage.csv", "voltage_v", "nan"),
+    ("samples_inf_time.csv", "capacity.csv", "samples_inf_time.csv", "time_s", "inf"),
+    ("samples_cycle_1_0.csv", "capacity.csv", "samples_cycle_1_0.csv", "cycle", "1_0"),
 ])
-def test_dataset_parse_errors_name_the_file(inputs, command, samples, capacity, bad, message,
-                                            capsys):
+def test_dataset_parse_errors_name_the_file(inputs, command, samples, capacity, bad, column,
+                                            token, capsys):
+    header, *rows = (inputs / bad).read_text().splitlines()
+    j = header.split(",").index(column)
+    line = next(n for n, row in enumerate(rows, start=2) if row.split(",")[j] == token)
     args = [command, "--samples", f"@{samples}", "--capacity", f"@{capacity}", "--out", "@out.x"]
     if command == "features":
         args[-2:-2] = ["--segments", "@segments.json"]
     assert main(_expand(inputs, args)) == 4
-    assert capsys.readouterr().err == f"ERROR 4: {inputs / bad}: {message}\n"
+    assert capsys.readouterr().err == (f"ERROR 4: {inputs / bad}: line {line}: "
+                                       f"bad {column} value {token!r}\n")
 
 
 @pytest.mark.parametrize("model", ["model.json", "knn_fused.json"])
@@ -528,11 +570,11 @@ def test_predict_names_the_file_of_non_finite_features(inputs, model, capsys):
     for vector in NON_FINITE_VECTORS:
         assert main(_expand(inputs, ["predict", "--model", f"@{model}",
                                      "--input", f"@{vector}"])) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR 4:") and vector in err and "finite" in err
+        assert capsys.readouterr().err == (f"ERROR 4: {inputs / vector}: bad F6 value "
+                                           f"{NON_FINITE_VECTORS[vector]!r}\n")
 
 
-@pytest.mark.parametrize("model", ["model.json", "knn_fused.json"])
+@pytest.mark.parametrize("model", ["model_tiny_sds.json", "knn_fused_tiny_scales.json"])
 def test_predict_names_the_file_of_features_its_normalization_overflows(inputs, model, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -546,7 +588,7 @@ def test_predict_names_the_file_of_features_its_normalization_overflows(inputs, 
 
 
 @pytest.mark.parametrize("command", ["evaluate", "shap"])
-@pytest.mark.parametrize("model", ["model.json", "knn.json"])
+@pytest.mark.parametrize("model", ["model_tiny_sds.json", "knn_tiny_sds.json"])
 def test_evaluate_and_shap_name_the_features_file_their_model_overflows(inputs, command, model,
                                                                        capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -561,7 +603,7 @@ def test_evaluate_and_shap_name_the_features_file_their_model_overflows(inputs, 
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("model", ["model.json", "knn.json"])
+@pytest.mark.parametrize("model", ["model_tiny_sds.json", "knn_tiny_sds.json"])
 def test_shap_names_the_features_file_when_only_its_last_row_overflows(inputs, model, cpus,
                                                                        capsys, monkeypatch):
     # The ordered split leaves the last row out of the background, so it is the
@@ -569,7 +611,7 @@ def test_shap_names_the_features_file_when_only_its_last_row_overflows(inputs, m
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     header, *rows = (inputs / "features.csv").read_text().splitlines()
     cycle, *_, target = rows[-1].split(",")
-    rows[-1] = ",".join([cycle, *["1e308"] * len(features.FEATURE_NAMES), target])
+    rows[-1] = ",".join([cycle, *["1e100"] * len(features.FEATURE_NAMES), target])
     (inputs / "huge_last_row.csv").write_text("\n".join([header, *rows]) + "\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -592,57 +634,51 @@ FIT_ON_HUGE_FEATURES = {
 
 
 @pytest.mark.parametrize("command", FIT_ON_HUGE_FEATURES)
-def test_fitting_commands_name_the_features_file_whose_variance_overflows(inputs, command,
-                                                                          capsys):
+def test_fitting_commands_read_a_row_at_the_largest_magnitude_without_a_warning(inputs, command,
+                                                                                 capsys):
+    # No sum of squares over fewer than 1e107 rows of such values overflows.
+    # Scaled by that row, the other rows of a unit group become equal, which
+    # fusion refuses.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(_expand(inputs, [command, "--features", "@huge_features.csv",
                                      *FIT_ON_HUGE_FEATURES[command]]))
     err = capsys.readouterr().err
-    assert code == 4 and err.count("\n") == 1
-    assert err.startswith("ERROR 4:") and "huge_features.csv" in err and "overflows" in err
+    if command in ("fuse", "table1"):
+        assert code == 4
+        assert re.fullmatch(r"ERROR 4: duplicate rows \d+ and \d+; deduplicate before fusing\n", err)
+    else:
+        assert (code, err) == (0, "")
     assert [str(w.message) for w in caught] == []
 
 
-def test_compare_on_huge_targets_warns_nothing_and_keeps_the_tree_models(inputs, capsys,
-                                                                         monkeypatch):
-    # Centered targets near 1e153: the squares of some partial sums in the
-    # split scan overflow, while every column's variance stays finite.
+@pytest.mark.parametrize("command", FIT_ON_HUGE_FEATURES)
+def test_fitting_commands_name_the_features_file_line_and_column_beyond_it(inputs, command,
+                                                                           capsys):
+    code = main(_expand(inputs, [command, "--features", "@features_-1e101.csv",
+                                 *FIT_ON_HUGE_FEATURES[command]]))
+    assert code == 4
+    assert capsys.readouterr().err == (f"ERROR 4: {inputs / 'features_-1e101.csv'}: "
+                                       "line 3: bad F5 value '-1e101'\n")
+
+
+@pytest.mark.parametrize("scale", [1e151, 4e152])
+def test_compare_refuses_targets_beyond_the_largest_magnitude(inputs, scale, capsys):
+    # Targets near 1e151 made every tree a stump and left the correlation
+    # undefined, and centered targets near 4e152 overflowed squares in the
+    # split scan (the library tests keep both cases).
     header, *rows = (inputs / "features.csv").read_text().splitlines()
     y = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
-    y = 4e152 * (y - y.mean())
+    y = scale * (y - y.mean())
     rows = [f"{row.rsplit(',', 1)[0]},{v!r}" for row, v in zip(rows, y.tolist())]
     (inputs / "huge_targets.csv").write_text("\n".join([header, *rows]) + "\n")
-    args = ["compare", "--features", "@huge_targets.csv", "--config", "@train.json",
-            "--models", "rf,gbrt"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run(_expand(inputs, [*args, "--out", "@taylor_huge.json"]))
-    assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == ""
-    monkeypatch.setattr(baselines.RegressionTree, "_best_split", _scalar_best_split)
-    with np.errstate(all="ignore"):
-        run(_expand(inputs, [*args, "--out", "@taylor_scalar.json"]))
-    assert (inputs / "taylor_huge.json").read_bytes() == (inputs / "taylor_scalar.json").read_bytes()
-
-
-def test_compare_names_the_features_file_whose_targets_leave_the_correlation_undefined(
-        inputs, capsys):
-    # Targets near 1e151: the root's squared sum overflows, every split gain is
-    # NaN, each tree is a stump, and the correlation of its constant
-    # prediction is undefined.
-    header, *rows = (inputs / "features.csv").read_text().splitlines()
-    rows = [f"{head},{float(y) * 1e151!r}" for head, y in (row.rsplit(",", 1) for row in rows)]
-    (inputs / "scaled_targets.csv").write_text("\n".join([header, *rows]) + "\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(_expand(inputs, ["compare", "--features", "@scaled_targets.csv",
-                                     "--models", "rf,gbrt", "--out", "@out.json"]))
-    err = capsys.readouterr().err
-    assert code == 4 and err.count("\n") == 1
-    assert err == (f"ERROR 4: {inputs / 'scaled_targets.csv'}: "
-                   "constant series: correlation undefined\n")
-    assert [str(w.message) for w in caught] == []
+    code = main(_expand(inputs, ["compare", "--features", "@huge_targets.csv",
+                                 "--models", "rf,gbrt", "--out", "@out.json"]))
+    line, value = next((n, row.rsplit(",", 1)[1]) for n, row in enumerate(rows, start=2)
+                       if abs(float(row.rsplit(",", 1)[1])) > 1e100)
+    assert code == 4
+    assert capsys.readouterr().err == (f"ERROR 4: {inputs / 'huge_targets.csv'}: "
+                                       f"line {line}: bad target value {value!r}\n")
 
 
 @pytest.mark.parametrize("name", MISSHAPEN_MODELS)
@@ -936,7 +972,7 @@ def test_a_broken_features_csv_names_the_file_and_line(inputs, fault, row_pick, 
         del cells[column]
     else:
         cells.insert(column, "1")
-    message = (f"bad {FEATURES_COLUMNS[column]} value {token.strip()!r}" if fault == "token"
+    message = (f"bad {FEATURES_COLUMNS[column]} value {token!r}" if fault == "token"
                else f"expected {len(FEATURES_COLUMNS)} columns, got {len(cells)}")
     rows[row] = ",".join(cells)
     lines, line_no = [header, *rows], row + 2
@@ -956,13 +992,13 @@ def test_a_broken_features_csv_names_the_file_and_line(inputs, fault, row_pick, 
         assert capsys.readouterr().err == f"ERROR 4: {broken}: {message}\n"
 
 
-@pytest.mark.parametrize("value", NON_FINITE_CELLS)
+@pytest.mark.parametrize("value", REFUSED_CELLS)
 def test_a_non_finite_features_cell_names_the_file_line_and_column(inputs, value, capsys):
     for args in CSV_READERS:
         args = [f"@features_{value}.csv" if a == "@broken.csv" else a for a in args]
         assert main(_expand(inputs, args)) == 4
         assert capsys.readouterr().err == (f"ERROR 4: {inputs / f'features_{value}.csv'}: "
-                                           f"line 3: non-finite F5 value '{value}'\n")
+                                           f"line 3: bad F5 value '{value}'\n")
 
 
 def test_shap_background_is_the_train_split_mean(inputs, capsys):
@@ -998,3 +1034,67 @@ def test_readme_cli_examples_parse():
         argv = shlex.split(command)
         assert argv[0] == "batcap", command
         build_parser().parse_args(argv[1:])
+
+
+# Numbers a fuzzed config or feature vector holds: ordinary ones, any float
+# (NaN and the infinities included), integers, and edges of the float range.
+FUZZ_NUMBERS = (st.floats(-1e3, 1e3) | st.floats() | st.integers(-10 ** 6, 10 ** 6)
+                | st.sampled_from([1e100, -1e100, 1e101, 1e308, 10 ** 400, -10 ** 400]))
+# Config objects of the right keys and JSON types, so most reach a run. The
+# size fields are always there and small, so that a valid config is a quick run.
+SIZE_FIELDS = {"n_cycles": st.integers(18, 40), "hidden_l": st.integers(0, 6),
+               "woa_pop": st.integers(1, 4), "woa_iters": st.integers(0, 2)}
+
+
+def _runnable_configs(cls):
+    types = typing.get_type_hints(cls)
+    return st.fixed_dictionaries(
+        {name: SIZE_FIELDS[name] for name in types if name in SIZE_FIELDS},
+        optional={name: st.sampled_from(["sigmoid", "tanh", "relu", ""]) if t is str
+                  else st.integers() if t is int else FUZZ_NUMBERS
+                  for name, t in types.items() if name not in SIZE_FIELDS})
+
+
+RUNNABLE_CONFIGS = {cls: _runnable_configs(cls) for cls in (data.SynthConfig, pipeline.TrainConfig)}
+RUNNABLE_COMMANDS = [
+    (data.SynthConfig, ["synth", "--config", "@fuzz.json", "--out-dir", "@fuzz_out"]),
+    (pipeline.TrainConfig, ["train", "--features", "@features.csv", "--config", "@fuzz.json",
+                            "--model-out", "@out.json"]),
+    (pipeline.TrainConfig, ["table1", "--features", "@features.csv", "--config", "@fuzz.json",
+                            "--out", "@out.json"]),
+]
+# A predict --input payload: 13 numbers, or a list of another length, bare
+# or under "features".
+_FUZZ_LISTS = st.lists(FUZZ_NUMBERS, min_size=13, max_size=13) | st.lists(FUZZ_NUMBERS,
+                                                                          max_size=14)
+FUZZ_VECTORS = _FUZZ_LISTS | _FUZZ_LISTS.map(lambda v: {"features": v})
+
+
+def _exits_0_or_4_naming(path, args, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    err = capsys.readouterr().err
+    assert (code, err) == (0, "") or (code == 4 and err.count("\n") == 1
+                                      and err.startswith(f"ERROR 4: {path}: ")), (code, err)
+    # numpy's floating-point warnings; elm's notice of an underdetermined fit is advice
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(RUNNABLE_COMMANDS), data_=st.data())
+def test_a_fuzzed_config_exits_0_or_4_naming_the_file(inputs, command, data_, capsys):
+    cls, args = command
+    (inputs / "fuzz.json").write_text(json.dumps(data_.draw(RUNNABLE_CONFIGS[cls])))
+    _exits_0_or_4_naming(inputs / "fuzz.json", _expand(inputs, args), capsys)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=st.sampled_from(["model.json", "knn.json", "knn_fused.json", "forest.json"]),
+       vector=FUZZ_VECTORS)
+def test_a_fuzzed_predict_input_exits_0_or_4_naming_the_file(inputs, model, vector, capsys):
+    (inputs / "fuzz.json").write_text(json.dumps(vector))
+    _exits_0_or_4_naming(inputs / "fuzz.json", _expand(inputs, [
+        "predict", "--model", f"@{model}", "--input", "@fuzz.json"]), capsys)

@@ -81,10 +81,10 @@ def test_parse_capacity_rejects_a_second_battery_id():
         data.parse_capacity(text)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("value", ["nan", "inf", "NaN", "Infinity", "1e101"])
 def test_parse_capacity_rejects_non_finite_capacity(value):
     text = f"battery_id,cycle,discharge_capacity_mah\nb,1,170\n\nb,2,{value}\nb,3,169\n"
-    with pytest.raises(ValueError, match=r"^line 4: non-finite capacity for cycle 2$"):
+    with pytest.raises(ValueError, match=rf"^line 4: bad discharge_capacity_mah value '{value}'$"):
         data.parse_capacity(text)
 
 

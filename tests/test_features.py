@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from batcap import data, features
-from conftest import first_crossing_time, fit_charging_line, make_record, segment_times
+from conftest import (
+    feature_row, first_crossing_time, fit_charging_line, make_record, segment_times,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -79,8 +81,8 @@ def test_detect_segments_matches_exhaustive_band_scan(synth_ds, synth_segments):
     # smoothed derivative stays under the threshold; take the widest in volts.
     ref_row = sorted(data.split_rows(len(synth_ds), 0.7, 123).train)
     rec = synth_ds.cycles[ref_row[len(ref_row) // 2]]
-    t = rec.time_array()
-    v = rec.voltage_array()
+    t = rec.times
+    v = rec.voltages
     smoothed = features._smoothed_derivative(t, v)
     threshold = 0.5 * np.median(smoothed)
     best = None
@@ -143,14 +145,14 @@ def test_extract_f8_equals_plateau_duration():
     volts = np.array([3.0, 3.1, 3.2, 3.30, 3.33, 3.36, 3.46, 3.56, 3.61, 3.66])
     rec = make_record(times, volts)
     seg = features.VoltageSegments(vs1=(3.0, 3.3), vs2=(3.3, 3.36), vs3=(3.36, 3.66))
-    f = features.extract_features(rec, seg)
+    f = feature_row(rec, seg)
     assert f[7] == pytest.approx(120.0, abs=1e-9)  # F8: 150 s - 30 s
 
 
 def test_extract_f13_median_of_symmetric_profile():
     t = np.arange(11.0)
     v = 3.0 + 0.02 * t  # symmetric sample spacing; median = middle sample
-    f = features.extract_features(
+    f = feature_row(
         make_record(t, v), features.VoltageSegments((3.0, 3.06), (3.06, 3.14), (3.14, 3.2))
     )
     assert f[12] == pytest.approx(3.10, abs=1e-12)
@@ -164,13 +166,13 @@ def test_golden_feature_vector_matches_independent_oracle():
     seg = features.VoltageSegments(
         vs1=tuple(segs["vs1"]), vs2=tuple(segs["vs2"]), vs3=tuple(segs["vs3"])
     )
-    f = features.extract_features(rec, seg)
+    f = feature_row(rec, seg)
     assert np.allclose(f, golden["features"], rtol=0, atol=1e-9)
 
 
 def test_build_matrix_shape_and_composition(synth_ds, synth_segments, synth_matrix):
     assert synth_matrix.X.shape == (200, 13)
-    row0 = features.extract_features(synth_ds.cycles[0], synth_segments)
+    row0 = feature_row(synth_ds.cycles[0], synth_segments)
     assert np.array_equal(synth_matrix.X[0], row0)
     assert synth_matrix.y[0] == synth_ds.cycles[0].discharge_capacity
 
@@ -218,7 +220,7 @@ def test_matrix_from_csv_names_the_line_and_column_of_a_bad_number(synth_matrix,
 
 
 @pytest.mark.parametrize("column,value", [("F5", "nan"), ("F13", "inf"), ("target", "-inf"),
-                                          ("F1", "1e400")])
+                                          ("F1", "1e400"), ("F2", "-1e101")])
 def test_matrix_from_csv_names_the_line_and_column_of_a_non_finite_number(synth_matrix, column,
                                                                           value):
     lines = features.matrix_to_csv(synth_matrix).split("\n")
@@ -228,7 +230,7 @@ def test_matrix_from_csv_names_the_line_and_column_of_a_non_finite_number(synth_
         row[header.index(column)] = value
         lines[i] = ",".join(row)
     text = "\n".join(lines[:2] + ["  "] + lines[2:])  # a blank line before the bad row counts
-    with pytest.raises(ValueError, match=f"^line 5: non-finite {column} value '{value}'$"):
+    with pytest.raises(ValueError, match=f"^line 5: bad {column} value '{value}'$"):
         features.matrix_from_csv(text)
 
 

@@ -2,12 +2,14 @@
 
 Parsing, synthesis, CSV output and feature extraction must give the same
 records, the same bits, the same text and the same error messages as the
-per-line and per-sample code below, transcribed unchanged from before the
-array passes (only the names carry a ``_ref`` prefix).
+per-line and per-sample code below, transcribed from before the array
+passes (only the names carry a ``_ref`` prefix). The parsers' number
+contract is written out independently of numpy: a regex for each column
+type's spellings, int64 cycles and a magnitude bound on floats.
 """
 
+import re
 import warnings
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,23 +27,40 @@ from batcap.rng import Rng, derive_seed
 from conftest import LineFit, first_crossing_time, fit_charging_line, segment_times
 
 
-# --- the per-line and per-sample code, unchanged ----------------------------
+# --- the per-line and per-sample code ----------------------------------------
 
-def _ref_parse_float(token: str, line_no: int, column: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"line {line_no}: bad {column} value {token!r}") from None
+# The number contract. A number is padding, an int or float spelling, then
+# padding; only a line's last token may end with a carriage return (its line
+# end). Cycles lie in int64, floats within +-1e100 (NaN and +-inf beyond).
+_PAD_CHARS = " \t\v\f\x1c\x1d\x1e\x1f"
+_PAD = f"[{_PAD_CHARS}]*"
+_SPELLINGS = {
+    int: re.compile(f"{_PAD}[+-]?[0-9]+{_PAD}"),
+    float: re.compile(f"{_PAD}[+-]?(?:(?:[0-9]+\\.?[0-9]*|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                      f"|(?i:inf|infinity|nan)){_PAD}"),
+}
+_REF_BOUND = 1e100
 
 
-def _ref_parse_int(token: str, line_no: int, column: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {line_no}: bad {column} value {token!r}") from None
+def _ref_number(token: str, kind, last: bool = False):
+    """The value of a number token, or None where the contract refuses it."""
+    spelling = token[:-1] if last and token.endswith("\r") else token
+    if not _SPELLINGS[kind].fullmatch(spelling):
+        return None
+    value = kind(spelling.strip(_PAD_CHARS))
+    in_range = -2 ** 63 <= value < 2 ** 63 if kind is int else abs(value) <= _REF_BOUND
+    return value if in_range else None
+
+
+def _ref_parse(token: str, line_no: int, column: str, kind, last: bool = False):
+    value = _ref_number(token, kind, last)
+    if value is None:
+        raise ValueError(f"line {line_no}: bad {column} value {token!r}")
+    return value
 
 
 def _ref_split_csv(csv_text: str, expected_header: str) -> list[tuple[int, list[str]]]:
+    """The non-blank rows as (line number, tokens as written)."""
     lines = csv_text.replace("\r\n", "\n").split("\n")
     if not lines or lines[0].strip() != expected_header:
         raise ValueError(f"expected header {expected_header!r}")
@@ -50,7 +69,7 @@ def _ref_split_csv(csv_text: str, expected_header: str) -> list[tuple[int, list[
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) != n_cols:
             raise ValueError(f"line {line_no}: expected {n_cols} columns, got {len(parts)}")
         rows.append((line_no, parts))
@@ -64,15 +83,15 @@ def _ref_parse_samples(csv_text: str) -> list[CycleRecord]:
     strictly increasing (out-of-order data is an error, not silently sorted).
     """
     rows = _ref_split_csv(csv_text, SAMPLES_HEADER)
-    battery_ids = {parts[0] for _, parts in rows}
+    battery_ids = {parts[0].strip() for _, parts in rows}
     if len(battery_ids) > 1:
         raise ValueError(f"multiple battery ids in one samples file: {sorted(battery_ids)}")
     grouped: dict[int, list[tuple[float, float]]] = {}
     order: list[int] = []
     for line_no, parts in rows:
-        cyc = _ref_parse_int(parts[1], line_no, "cycle")
-        t = _ref_parse_float(parts[2], line_no, "time_s")
-        v = _ref_parse_float(parts[3], line_no, "voltage_v")
+        cyc = _ref_parse(parts[1], line_no, "cycle", int)
+        t = _ref_parse(parts[2], line_no, "time_s", float)
+        v = _ref_parse(parts[3], line_no, "voltage_v", float, last=True)
         if cyc not in grouped:
             grouped[cyc] = []
             order.append(cyc)
@@ -95,8 +114,8 @@ def _ref_parse_capacity(csv_text: str) -> dict[int, float]:
     rows = _ref_split_csv(csv_text, CAPACITY_HEADER)
     capacities: dict[int, float] = {}
     for line_no, parts in rows:
-        cyc = _ref_parse_int(parts[1], line_no, "cycle")
-        cap = _ref_parse_float(parts[2], line_no, "discharge_capacity_mah")
+        cyc = _ref_parse(parts[1], line_no, "cycle", int)
+        cap = _ref_parse(parts[2], line_no, "discharge_capacity_mah", float, last=True)
         if cyc in capacities:
             raise ValueError(f"line {line_no}: duplicate capacity for cycle {cyc}")
         if cap <= 0:
@@ -240,8 +259,8 @@ def _ref_matrix_to_csv(m: FeatureMatrix) -> str:
 
 def _ref_fit_charging_line(rec: CycleRecord) -> LineFit:
     """Ordinary least squares of voltage on time over the whole cycle."""
-    t = rec.time_array()
-    v = rec.voltage_array()
+    t = rec.times
+    v = rec.voltages
     if len(t) < 2:
         raise ValueError("need at least 2 samples to fit a line")
     t_mean = t.mean()
@@ -264,8 +283,8 @@ def _ref_first_crossing_time(rec: CycleRecord, level: float) -> float:
     Linear interpolation between the bracketing samples; t[0] if the curve
     starts at or above the level, t[-1] if it never gets there.
     """
-    t = rec.time_array()
-    v = rec.voltage_array()
+    t = rec.times
+    v = rec.voltages
     if v[0] >= level:
         return float(t[0])
     above = np.nonzero(v >= level)[0]
@@ -292,8 +311,8 @@ def _ref_segment_times(rec: CycleRecord, seg: VoltageSegments) -> tuple[float, f
 
 def _ref_extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
     """The 13-feature vector for one cycle (see module docstring for mapping)."""
-    t = rec.time_array()
-    v = rec.voltage_array()
+    t = rec.times
+    v = rec.voltages
     fit = _ref_fit_charging_line(rec)
     t_vs1, t_vs2, t_vs3 = _ref_segment_times(rec, seg)
     total_time = float(t[-1] - t[0])
@@ -314,7 +333,7 @@ def _ref_extract_features(rec: CycleRecord, seg: VoltageSegments) -> np.ndarray:
         float(np.median(v)),                 # F13
     ], dtype=float)
     if not np.all(np.isfinite(features)):
-        raise ValueError(f"cycle {rec.cycle_index}: non-finite feature values")
+        raise ValueError("non-finite feature values")
     return features
 
 # --- equivalence ------------------------------------------------------------
@@ -403,7 +422,7 @@ def test_build_matrix_names_the_first_failing_cycle_across_groups():
               _ramp(4, 12, nan_at=3), _ramp(5, 20, top=3.45), _ramp(6, 31))
     ds = Dataset("b", 170.0, cycles)
     expected = _per_cycle_error(ds, RAMP_SEGMENTS)
-    assert expected == "feature extraction failed at cycle 2: cycle 2: non-finite feature values"
+    assert expected == "feature extraction failed at cycle 2: non-finite feature values"
     good = Dataset("b", 170.0, cycles[:1] + cycles[2:3] + cycles[4:])
     reference = np.array([_ref_extract_features(c, RAMP_SEGMENTS) for c in good.cycles])
     with warnings.catch_warnings():
@@ -418,8 +437,8 @@ def test_one_row_path_matches_the_reference_on_short_and_degenerate_records():
     two = CycleRecord(1, (0.0, 10.0), (3.0, 3.6), 170.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = features.extract_features(two, RAMP_SEGMENTS)
-        assert got.tobytes() == _ref_extract_features(two, RAMP_SEGMENTS).tobytes()
+        got = features.build_matrix(Dataset("b", 170.0, (two,) * 3), RAMP_SEGMENTS).X
+        assert got.tobytes() == np.array([_ref_extract_features(two, RAMP_SEGMENTS)] * 3).tobytes()
         assert fit_charging_line(two) == _ref_fit_charging_line(two)
         assert segment_times(two, RAMP_SEGMENTS) == _ref_segment_times(two, RAMP_SEGMENTS)
         for level in (2.9, 3.0, 3.3, 3.6, 3.7):
@@ -428,15 +447,13 @@ def test_one_row_path_matches_the_reference_on_short_and_degenerate_records():
     one = CycleRecord(2, (5.0,), (3.0,), 169.0)
     for rec, fault in ((same_times, "all sample times identical; slope undefined"),
                        (one, "need at least 2 samples to fit a line")):
-        for new, ref in ((fit_charging_line, _ref_fit_charging_line),
-                         (lambda r: features.extract_features(r, RAMP_SEGMENTS),
-                          lambda r: _ref_extract_features(r, RAMP_SEGMENTS))):
+        for ref in (_ref_fit_charging_line, lambda r: _ref_extract_features(r, RAMP_SEGMENTS)):
             with pytest.raises(ValueError, match=f"^{fault}$"):
                 ref(rec)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=f"^{fault}$"):
-                    new(rec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{fault}$"):
+                fit_charging_line(rec)
         ds = Dataset("b", 170.0, (two, rec))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -535,25 +552,23 @@ ACCEPTED = {
     "padded_tokens": _csv(_rows([1] * 11 + [2] * 11, sep=" , ")),
     "padded_battery_ids": _csv([" b" + line[1:] if i % 2 else line
                                 for i, line in enumerate(_two_cycles())]),
-    "underscore_numerals": _csv(_rows([10] * 11)).replace("b,10,", "b,1_0,"),
     "mixed_cycle_spellings": _csv(_rows([2] * 22)).replace("b,2,1", "b, 2,1"),
     "interleaved_1_2_1": _csv(_rows([1] * 6 + [2] * 11 + [1] * 5)),
     "interleaved_rows": _csv(_rows([1, 2] * 11)),
-    "huge_cycle_number": _csv(_rows([10 ** 30] * 11)),
-    "nan_time": _csv(_replace(_two_cycles(), 4, "b,1,nan,3.04")),
     "header_padded": _csv(_two_cycles(), header="  " + SAMPLES_HEADER + " "),
     "header_only": SAMPLES_HEADER + "\n",
     "header_only_no_newline": SAMPLES_HEADER,
     "header_then_blank_lines": SAMPLES_HEADER + "\n\n  \n",
     "one_cycle_many_samples": _csv(_rows([5] * 400)),
-    "interleaved_huge_cycle_number": _csv(_rows([10 ** 30] * 6 + [1] * 11 + [10 ** 30] * 5)),
-    # numpy's reader refuses these or never sees them: int() and float() read them
     "int64_max_cycle": _csv(_rows([2 ** 63 - 1] * 11)),
-    "cycle_beyond_int64": _csv(_rows([1] * 11 + [2 ** 63] * 11)),
-    "carriage_return_led_token": _csv(_replace(_two_cycles(), 3, "b,1,\r30,3.03")),
-    "non_ascii_battery_id": _csv(_rows([1] * 11 + [2] * 11, battery="zelle-\u00fc")),
-    "non_ascii_digits": _csv(_replace(_two_cycles(), 5, "b,\u0661,50,3.05")),
-    "non_ascii_padding": _csv(_replace(_two_cycles(), 6, "b,1,\u200060\u00a0,3.06")),
+    "separator_padding": _csv(_replace(_replace(_two_cycles(), 3, "b,\x1c1\x1d,30,3.03"), 4,
+                                       "b,1,\x1e40,3.04\x1f")),
+    "carriage_return_at_line_end": _csv(_replace(_two_cycles(), 3, "b,1,30,3.03\r")),
+    "magnitude_at_the_bound": _csv(_replace(_two_cycles(), 10, "b,1,1e100,3.1")),
+    # the id column is free text: numpy reads the number columns without it
+    "carriage_return_in_battery_id": _csv(_rows([1] * 11 + [2] * 11, battery="b\rc")),
+    **{f"non_ascii_battery_id_{ord(c):x}": _csv(_rows([1] * 11 + [2] * 11, battery=f"zelle-{c}"))
+       for c in "\u00fc\u3000\U0010ffff"},
 }
 
 REJECTED = {
@@ -599,6 +614,25 @@ REJECTED = {
     "bad_token_with_non_ascii_battery_id": _csv(
         _replace(_rows([1] * 11 + [2] * 11, battery="\u00e9"), 7, "\u00e9,1,70,\u20ac")),
     "non_ascii_digits_that_drop": _csv(_replace(_two_cycles(), 15, "b,2,40,\u0663")),
+    "underscore_numerals": _csv(_rows([10] * 11)).replace("b,10,", "b,1_0,"),
+    "huge_cycle_number": _csv(_rows([10 ** 30] * 11)),
+    "interleaved_huge_cycle_number": _csv(_rows([10 ** 30] * 6 + [1] * 11 + [10 ** 30] * 5)),
+    "cycle_beyond_int64": _csv(_rows([1] * 11 + [2 ** 63] * 11)),
+    "nan_time": _csv(_replace(_two_cycles(), 4, "b,1,nan,3.04")),
+    "infinite_time": _csv(_replace(_two_cycles(), 10, "b,1,inf,3.1")),
+    "voltage_beyond_the_bound": _csv(_replace(_two_cycles(), 10, "b,1,100,-1.0000001e100")),
+    "carriage_return_led_token": _csv(_replace(_two_cycles(), 3, "b,1,\r30,3.03")),
+    "carriage_return_inside_a_row": _csv(_replace(_two_cycles(), 3, "b,1,30\r,3.03")),
+    "non_ascii_digits": _csv(_replace(_two_cycles(), 5, "b,\u0661,50,3.05")),
+    "non_ascii_padding": _csv(_replace(_two_cycles(), 6, "b,1,\u200060\u00a0,3.06")),
+    "bad_token_before_a_non_ascii_number": _csv(
+        _replace(_replace(_two_cycles(), 3, "b,1,30,y"), 5, "b,1,50,\u0663")),
+    "non_ascii_number_before_a_bad_token": _csv(
+        _replace(_replace(_two_cycles(), 3, "b,1,\u0663,3.03"), 5, "b,1,50,y")),
+    "bad_token_after_a_refused_magnitude": _csv(
+        _replace(_replace(_two_cycles(), 3, "b,1,30,nan"), 5, "b,1,50,y")),
+    "refused_magnitude_after_a_bad_token": _csv(
+        _replace(_replace(_two_cycles(), 3, "b,1,30,y"), 5, "b,1,50,inf")),
 }
 
 
@@ -689,8 +723,10 @@ CAPACITY_ACCEPTED = {
     "crlf_blank_lines": _capacity_csv(CAPACITIES, newline="\r\n").replace("b,3", "\r\n \r\nb,3"),
     "padded_tokens": _capacity_csv([(f" {c} ", f"{q} ") for c, q in CAPACITIES]),
     "header_only": CAPACITY_HEADER + "\n",
-    "cycle_beyond_int64": _capacity_csv([*CAPACITIES, (2 ** 64, 150)]),
-    "non_ascii_battery_id": _capacity_csv(CAPACITIES).replace("b,", "\u00e9,"),
+    "separator_padding": _capacity_csv([(f"\x1c{c}", f"{q}\x1f") for c, q in CAPACITIES]),
+    "magnitude_at_the_bound": _capacity_csv([*CAPACITIES, (8, "1e100")]),
+    **{f"non_ascii_battery_id_{ord(c):x}": _capacity_csv(CAPACITIES).replace("b,", f"{c},")
+       for c in "\u00e9\u3000\U0010ffff"},
 }
 
 CAPACITY_REJECTED = {
@@ -711,6 +747,12 @@ CAPACITY_REJECTED = {
     "duplicate_before_carriage_return_led_bad_token": _capacity_csv(
         [*CAPACITIES, (2, 150), ("\r9", "14x")]),
     "duplicate_beyond_int64": _capacity_csv([*CAPACITIES, (2 ** 64, 150), (2 ** 64, 149)]),
+    "cycle_beyond_int64": _capacity_csv([*CAPACITIES, (2 ** 64, 150)]),
+    "nan": _capacity_csv([*CAPACITIES[:3], (4, "nan"), *CAPACITIES[4:]]),
+    "beyond_the_bound": _capacity_csv([*CAPACITIES, (8, "1e101")]),
+    "duplicate_before_beyond_the_bound": _capacity_csv([*CAPACITIES, (2, 150), (9, "1e101")]),
+    "non_positive_before_nan": _capacity_csv([*CAPACITIES, (8, "-0.0"), (9, "nan")]),
+    "non_ascii_capacity": _capacity_csv([*CAPACITIES, (8, "\u0661")]).replace("b,", "\u00e9,"),
 }
 
 
@@ -729,9 +771,9 @@ def test_parse_capacity_raises_the_reference_message(text):
     assert str(got.value) == str(expected.value)
 
 
-# --- numpy's reader and the int()/float() path ------------------------------
+# --- numpy's reader against the written-out contract ------------------------
 
-FEATURES_HEADER = ",".join(name for name, _ in features._CSV_COLUMNS)
+FEATURES_HEADER = ",".join(["cycle", *features.FEATURE_NAMES, "target"])
 # Header, (name, type) of each column and a valid row of each CSV file.
 CSV_FILES = {
     "samples": (SAMPLES_HEADER, data._SAMPLE_COLUMNS, ["b", "1", "10", "3.0"]),
@@ -741,24 +783,30 @@ CSV_FILES = {
 # An int and a float column of each file, at the start, inside and at the end of a row.
 SPELLING_COLUMNS = [("samples", 1), ("samples", 2), ("samples", 3), ("capacity", 1),
                     ("capacity", 2), ("features", 0), ("features", 7), ("features", 14)]
-# Every ASCII spelling of one or two characters that leaves the row's columns as they are.
+# Every ASCII spelling of one or two characters that leaves the row's columns
+# as they are, and longer ones at the edges of the contract.
 _CHARS = [chr(i) for i in range(128) if chr(i) not in ",\n"]
-SHORT_ASCII_FORMS = _CHARS + [a + b for a in _CHARS for b in _CHARS]
+SPELLINGS = _CHARS + [a + b for a in _CHARS for b in _CHARS] + [
+    "1_0", "1__0", "0x1f", "1e100", "-1e100", "1.0000000000000001e100", "1e101", "1e400",
+    "-infinity", "NaN", " +.5e-3\t", "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "00000000000000000000000000000000001",
+    "\u0661", "\u00a01", "1\u3000"]
 
 
 @pytest.mark.parametrize("kind, column", SPELLING_COLUMNS,
                          ids=[f"{kind}-{CSV_FILES[kind][1][j][0]}" for kind, j in SPELLING_COLUMNS])
-def test_every_short_ascii_spelling_reads_as_int_and_float_read_it(kind, column):
+def test_every_short_ascii_spelling_reads_as_the_contract_says(kind, column):
     header, columns, row = CSV_FILES[kind]
     name, convert = columns[column]
     position = [j for j, (_, t) in enumerate(columns) if t is not str].index(column)
-    for form in SHORT_ASCII_FORMS:
-        text = "\n".join([header, ",".join([*row[:column], form, *row[column + 1:]]), ""])
+    last = column == len(columns) - 1
+    for form in SPELLINGS:
+        # no final newline, so a form's last carriage return stays in its line
+        text = "\n".join([header, ",".join([*row[:column], form, *row[column + 1:]])])
         got, error = data._number_columns(text, data._csv_lines(text, header), columns)
-        try:
-            expected = convert(form)
-        except ValueError:
-            assert str(error) == f"line 2: bad {name} value {form.strip()!r}", repr(form)
+        expected = _ref_number(form, convert, last)
+        if expected is None:
+            assert str(error) == f"line 2: bad {name} value {form!r}", repr(form)
             assert all(len(values) == 0 for values in got), repr(form)
         else:
             assert error is None, repr(form)
@@ -768,34 +816,48 @@ def test_every_short_ascii_spelling_reads_as_int_and_float_read_it(kind, column)
 
 
 def _padded_inputs(pad):
-    """A file of each kind with ``pad`` around one number, and the error it gets."""
+    """A file of each kind with ``pad`` around one number, and the file without it."""
     features_text = "\n".join([FEATURES_HEADER, *(",".join([str(i), *["0.5"] * 13, "170"])
                                                   for i in (1, 2, 3)), ""])
-    return [(data.parse_samples, _csv(_replace(_two_cycles(), 3, f"b,{pad}1,30,3.03")),
-             "line 5: bad cycle value '1'"),
-            (data.parse_capacity, _capacity_csv([*CAPACITIES[:2], (3, f"168{pad}")]),
-             "line 4: bad discharge_capacity_mah value '168'"),
+    samples, capacity = _csv(_two_cycles()), _capacity_csv(CAPACITIES)
+    return [(data.parse_samples, samples.replace("b,1,30,", f"b,{pad}1,30,"), samples),
+            (data.parse_capacity, capacity.replace(",168\n", f",168{pad}\n"), capacity),
             (features.matrix_from_csv, features_text.replace("0.5", f"{pad}0.5", 1),
-             "line 2: bad F1 value '0.5'")]
+             features_text)]
 
 
 @pytest.mark.parametrize("pad", "\x1c\x1d\x1e\x1f")
-def test_padding_numpy_would_accept_is_refused_as_before(pad):
-    # int() and float() refuse this padding, which str.strip() removes
-    for parse, text, message in _padded_inputs(pad):
-        with pytest.raises(ValueError) as got:
-            parse(text)
-        assert str(got.value) == message
+def test_separator_padding_reads_as_spaces(pad):
+    # numpy's reader skips 0x1C-0x1F around a number, as it skips spaces
+    for parse, text, plain in _padded_inputs(pad):
+        assert text != plain
+        got, expected = parse(text), parse(plain)
+        if isinstance(got, FeatureMatrix):
+            assert got.X.tobytes() == expected.X.tobytes()
+        else:
+            assert got == expected
 
 
 def _features_csv(rows):
     return "\n".join([FEATURES_HEADER, *rows, ""])
 
 
+def _ref_matrix_from_csv(csv_text: str) -> FeatureMatrix:
+    """Parse a features CSV; tokens are converted row by row, in file order."""
+    names = FEATURES_HEADER.split(",")
+    rows = [[_ref_parse(token, line_no, name, float if j else int, last=j == len(names) - 1)
+             for j, (name, token) in enumerate(zip(names, parts))]
+            for line_no, parts in _ref_split_csv(csv_text, FEATURES_HEADER)]
+    return FeatureMatrix(np.array([row[1:-1] for row in rows]).reshape(-1, len(names) - 2),
+                         np.array([row[-1] for row in rows], dtype=float),
+                         tuple(row[0] for row in rows))
+
+
 FEATURES_INPUTS = {
     "plain": _features_csv(f"{i},{','.join(['0.5'] * 13)},{170 - i}" for i in range(1, 6)),
     "crlf_padded": _features_csv(f" {i} ,{','.join([' 1e-3'] * 13)},{170 - i} \r"
                                  for i in range(1, 6)),
+    "at_the_bound": _features_csv(f"{i},{','.join(['-1e100'] * 13)},1e100" for i in range(1, 6)),
     "cycle_beyond_int64": _features_csv(f"{2 ** 64 + i},{','.join(['0.5'] * 13)},170"
                                         for i in range(1, 6)),
     "non_ascii_digits": _features_csv(f"{i},{','.join(['٠.5'] * 13)},170"
@@ -804,16 +866,34 @@ FEATURES_INPUTS = {
                                for i in range(1, 6)),
     "non_finite": _features_csv(f"{i},{','.join(['0.5'] * 13)},{'nan' if i == 2 else 170}"
                                 for i in range(1, 6)),
+    "beyond_the_bound": _features_csv(f"{i},{','.join(['1e101' if i == 3 else '0.5'] * 13)},170"
+                                      for i in range(1, 6)),
 }
 
 
-def _features_outcome(text):
+def _features_outcome(parse, text):
     try:
-        m = features.matrix_from_csv(text)
+        m = parse(text)
     except ValueError as exc:
         return str(exc)
     assert all(type(c) is int for c in m.cycle_indices)
     return m.cycle_indices, m.X.tobytes(), m.y.tobytes()
+
+
+@pytest.mark.parametrize("text", list(FEATURES_INPUTS.values()), ids=list(FEATURES_INPUTS))
+def test_features_reader_matches_the_reference(text):
+    assert (_features_outcome(features.matrix_from_csv, text)
+            == _features_outcome(_ref_matrix_from_csv, text))
+
+
+def test_features_reader_names_the_refused_token():
+    outcomes = {name: _features_outcome(features.matrix_from_csv, text)
+                for name, text in FEATURES_INPUTS.items()}
+    assert outcomes["cycle_beyond_int64"] == "line 2: bad cycle value '18446744073709551617'"
+    assert outcomes["non_ascii_digits"] == "line 2: bad F1 value '٠.5'"
+    assert outcomes["bad_token"] == "line 5: bad target value 'x'"
+    assert outcomes["non_finite"] == "line 3: bad target value 'nan'"
+    assert outcomes["beyond_the_bound"] == "line 4: bad F1 value '1e101'"
 
 
 def _outcomes():
@@ -828,42 +908,24 @@ def _outcomes():
     return ([run(data.parse_samples, t) for t in (*ACCEPTED.values(), *REJECTED.values())],
             [run(data.parse_capacity, t)
              for t in (*CAPACITY_ACCEPTED.values(), *CAPACITY_REJECTED.values())],
-            [_features_outcome(t) for t in FEATURES_INPUTS.values()])
+            [_features_outcome(features.matrix_from_csv, t) for t in FEATURES_INPUTS.values()])
 
 
-def test_numpy_sees_only_ascii_text_without_its_padding_and_its_refusals_change_nothing(
-        monkeypatch):
-    fast = _outcomes()
-    seen = []
+def test_numpy_sees_only_ascii_text_and_reads_a_valid_file_in_one_call(monkeypatch):
+    # Some non-ASCII text crashes numpy's reader (a segmentation fault).
+    unwatched = _outcomes()
+    loadtxt, seen = np.loadtxt, []
 
-    def refusing_loadtxt(lines, **kwargs):
+    def watched(lines, **kwargs):
+        assert all(line.isascii() for line in lines), lines
         seen.append(lines)
-        for line in lines:
-            assert line.isascii() and not set(line) & set("\x1c\x1d\x1e\x1f"), repr(line)
-        raise ValueError("refused")
+        return loadtxt(lines, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", refusing_loadtxt)
-    assert _outcomes() == fast
-    assert ACCEPTED["plain"].splitlines()[1:] in seen  # the plain file went to numpy first
+    monkeypatch.setattr(np, "loadtxt", watched)
+    assert _outcomes() == unwatched
     seen.clear()
-    for parse, text, message in chain.from_iterable(map(_padded_inputs, "\x1c\x1d\x1e\x1f")):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            parse(text)
-    assert seen == []
-
-
-def test_features_reader_matches_int_and_float_on_edge_inputs():
-    for name, text in FEATURES_INPUTS.items():
-        outcome = _features_outcome(text)
-        if name == "bad_token":
-            assert outcome == "line 5: bad target value 'x'"
-        elif name == "non_finite":
-            assert outcome == "line 3: non-finite target value 'nan'"
-        else:
-            rows = [line.split(",") for line in text.splitlines()[1:]]
-            X = np.array([[float(x) for x in row[1:-1]] for row in rows])
-            y = np.array([float(row[-1]) for row in rows])
-            assert outcome == (tuple(int(row[0]) for row in rows), X.tobytes(), y.tobytes())
+    data.parse_samples(ACCEPTED["plain"])
+    assert seen == [ACCEPTED["plain"].splitlines()[1:]]
 
 
 # --- one % format per file ----------------------------------------------------

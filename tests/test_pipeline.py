@@ -123,6 +123,19 @@ def test_taylor_flags_constant_predictions():
     assert data.points[0].degenerate
 
 
+@pytest.mark.parametrize("n", [10, 60, 140])
+def test_taylor_flags_every_constant_prediction_whatever_its_rounded_sd(n):
+    # The mean of n equal values often rounds away from them, so their
+    # computed SD is often not 0.0.
+    rng = Rng(n)
+    actual = rng.uniforms(n, 100.0, 200.0)
+    values = rng.uniforms(300, 0.0, 3000.0).tolist()
+    models = [(f"c{i}", np.full(n, v)) for i, v in enumerate(values)]
+    points = pipeline.taylor_points(models, actual).points
+    assert any(pt.sd_pred != 0.0 for pt in points)
+    assert all(pt.degenerate and pt.pearson_r == 1.0 for pt in points)
+
+
 def test_taylor_svg_contains_markers():
     rng = Rng(43)
     actual = rng.uniforms(30, 0.0, 1.0)

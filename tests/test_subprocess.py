@@ -112,3 +112,47 @@ def test_woa_benchmark_script_runs():
     rows = [line.split() for line in proc.stdout.splitlines()]
     seed_rows = sorted(row[0] for row in rows if len(row) == 4 and row[1] == "0")
     assert seed_rows == ["rastrigin", "rosenbrock", "sphere"]
+
+
+def test_non_ascii_text_reads_in_a_child_with_the_bits_of_ascii_text(tmp_path):
+    # numpy's C text reader crashes the interpreter (a segmentation fault) on
+    # some non-ASCII fields, such as U+10FFFF in an int64 column, so the files
+    # are read in a child process: files whose battery ids are non-ASCII, and
+    # one with a non-ASCII number.
+    from batcap import data
+
+    ds = data.synth_dataset(data.SynthConfig(n_cycles=20, seed=3))
+    samples, capacity = data.samples_csv(ds), data.capacity_csv(ds)
+    bad = tmp_path / "samples_bad.csv"
+    lines = samples.splitlines()
+    battery, _, time, voltage = lines[4].split(",")
+    lines[4] = ",".join([battery, "\U0010ffff1", time, voltage])  # the cycle: int64
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths = [str(bad)]
+    for name, battery in (("ascii", "cell"), ("u00fc", "\u00fc"), ("u3000", "cell\u3000"),
+                          ("u10ffff", "\U0010ffff-cell")):
+        for kind, text in (("samples", samples), ("capacity", capacity)):
+            path = tmp_path / f"{kind}_{name}.csv"
+            path.write_text(text.replace("synthetic,", f"{battery},"), encoding="utf-8")
+            paths.append(str(path))
+    code = ("import hashlib, pathlib, sys\n"
+            "import numpy as np\n"
+            "from batcap import data\n"
+            "try:\n"
+            "    data.parse_samples(pathlib.Path(sys.argv[1]).read_text('utf-8'))\n"
+            "except ValueError as exc:\n"
+            "    print(ascii(str(exc)))\n"
+            "for samples, capacity in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+            "    records = data.parse_samples(pathlib.Path(samples).read_text('utf-8'))\n"
+            "    caps = data.parse_capacity(pathlib.Path(capacity).read_text('utf-8'))\n"
+            "    digest = hashlib.sha256()\n"
+            "    for r in records:\n"
+            "        digest.update(np.array([r.cycle_index, caps[r.cycle_index]]).tobytes())\n"
+            "        digest.update(r.times.tobytes() + r.voltages.tobytes())\n"
+            "    print(digest.hexdigest())\n")
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    refusal, *digests = proc.stdout.splitlines()
+    assert refusal == ascii(f"line 5: bad cycle value {chr(0x10ffff) + '1'!r}")
+    assert len(digests) == 4 and len(set(digests)) == 1
